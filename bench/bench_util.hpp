@@ -18,6 +18,7 @@
 #include "harness/trace/metrics.hpp"
 #include "util/cli.hpp"
 #include "util/stats.hpp"
+#include "util/wire.hpp"
 
 namespace gb::bench {
 
@@ -96,12 +97,7 @@ public:
 
     /// Fold a value into the campaign-content hash (FNV-1a over the
     /// little-endian bytes).
-    void fold(std::uint64_t value) {
-        for (int byte = 0; byte < 8; ++byte) {
-            hash_ ^= (value >> (8 * byte)) & 0xffU;
-            hash_ *= 1099511628211ULL;
-        }
-    }
+    void fold(std::uint64_t value) { hash_ = wire::fnv1a_word(hash_, value); }
 
     /// Record an exact content metric (compared at zero tolerance).
     void counter(const std::string& name, std::uint64_t value) {
@@ -167,7 +163,7 @@ public:
 private:
     std::string name_;
     std::optional<std::string> dir_;
-    std::uint64_t hash_ = 14695981039346656037ULL; ///< FNV-1a offset basis
+    std::uint64_t hash_ = wire::fnv1a_basis;
     std::map<std::string, std::uint64_t> counters_;
     std::map<std::string, std::vector<double>> samples_;
 };

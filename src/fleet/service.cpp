@@ -1,9 +1,7 @@
 #include "fleet/service.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <numeric>
@@ -17,6 +15,7 @@
 #include "harness/trace/metrics.hpp"
 #include "harness/trace/trace.hpp"
 #include "util/contracts.hpp"
+#include "util/wire.hpp"
 
 namespace gb::fleet {
 
@@ -27,20 +26,8 @@ namespace {
 /// plan.
 constexpr std::uint64_t probe_cost_ticks = 100;
 
-std::string format_double(double value) {
-    char buffer[64];
-    const auto [end, ec] =
-        std::to_chars(buffer, buffer + sizeof(buffer), value);
-    GB_ENSURES(ec == std::errc{});
-    return {buffer, end};
-}
-
-std::string format_hex(std::uint64_t value) {
-    char buffer[17];
-    std::snprintf(buffer, sizeof(buffer), "%016llx",
-                  static_cast<unsigned long long>(value));
-    return buffer;
-}
+using wire::field_value;
+using wire::tokenize;
 
 bool corner_from_string(std::string_view text, process_corner& corner) {
     if (text == to_string(process_corner::ttt)) {
@@ -53,65 +40,6 @@ bool corner_from_string(std::string_view text, process_corner& corner) {
         return false;
     }
     return true;
-}
-
-/// `key=value` field accessor over a tokenized payload; false when the
-/// field is missing.
-bool field_value(const std::vector<std::string_view>& tokens,
-                 std::string_view key, std::string_view& value) {
-    for (const std::string_view token : tokens) {
-        if (token.size() > key.size() && token[key.size()] == '=' &&
-            token.substr(0, key.size()) == key) {
-            value = token.substr(key.size() + 1);
-            return true;
-        }
-    }
-    return false;
-}
-
-template <typename Integer>
-bool parse_integer(std::string_view text, Integer& out, int base = 10) {
-    const auto [end, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), out, base);
-    return ec == std::errc{} && end == text.data() + text.size();
-}
-
-bool parse_real(std::string_view text, double& out) {
-    const auto [end, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), out);
-    return ec == std::errc{} && end == text.data() + text.size();
-}
-
-/// Atomic file publish via sibling-temp + rename, the status.cpp
-/// discipline, for arbitrary snapshot bytes.  The two snapshot chaos
-/// seams live here: a torn temp write (the rename never happens, readers
-/// keep the previous snapshot) and a kill between the finished temp and
-/// the rename.
-bool publish_bytes(const std::string& path, const std::string& bytes,
-                   chaos_plan* chaos) {
-    const std::string temp = path + ".tmp";
-    {
-        std::ofstream out(temp, std::ios::binary | std::ios::trunc);
-        if (!out) {
-            return false;
-        }
-        if (chaos != nullptr) {
-            if (const auto tear = chaos->on_snapshot_temp(bytes.size())) {
-                out << std::string_view(bytes).substr(
-                    0, static_cast<std::size_t>(tear->keep));
-                out.flush();
-                chaos->kill(tear->site);
-            }
-        }
-        out << bytes;
-        if (!out.flush()) {
-            return false;
-        }
-    }
-    if (chaos != nullptr && chaos->on_snapshot_rename()) {
-        chaos->kill(chaos_site::snapshot_rename);
-    }
-    return std::rename(temp.c_str(), path.c_str()) == 0;
 }
 
 /// Fault-draw key for re-plan round `round` of a probe: round 0 draws
@@ -180,17 +108,17 @@ std::string format_probe_payload(const cohort_key& key,
     line += " op=" + std::to_string(key.operating_point);
     line += " variant=" + std::to_string(key.variant);
     line += " sweep=" + std::to_string(sweep_mv);
-    line += " content=" + format_hex(content);
-    line += " req=" + format_double(result.requirement_mv);
-    line += " pnom=" + format_double(result.power_nominal_w);
-    line += " ppt=" + format_double(result.power_point_w);
+    line += " content=" + wire::format_hex64(content);
+    line += " req=" + wire::format_double(result.requirement_mv);
+    line += " pnom=" + wire::format_double(result.power_nominal_w);
+    line += " ppt=" + wire::format_double(result.power_point_w);
     line += " bucket=" + std::to_string(result.bucket);
     line += " retries=" + std::to_string(ledger.retries);
     line += " wdt=" + std::to_string(ledger.watchdog_timeouts);
     line += " crash=" + std::to_string(ledger.board_crashes);
     line += " pwr=" + std::to_string(ledger.power_switch_failures);
     line += " xhst=" + std::to_string(ledger.exhausted_rounds);
-    line += " down=" + format_double(ledger.downtime_s);
+    line += " down=" + wire::format_double(ledger.downtime_s);
     return line;
 }
 
@@ -205,21 +133,6 @@ std::string format_rigs(const std::vector<std::uint32_t>& rigs) {
     return text;
 }
 
-std::vector<std::string_view> tokenize(std::string_view payload) {
-    std::vector<std::string_view> tokens;
-    std::size_t pos = 0;
-    while (pos < payload.size()) {
-        const std::size_t space = payload.find(' ', pos);
-        const std::size_t end =
-            space == std::string_view::npos ? payload.size() : space;
-        if (end > pos) {
-            tokens.push_back(payload.substr(pos, end - pos));
-        }
-        pos = end + 1;
-    }
-    return tokens;
-}
-
 bool parse_rigs(std::string_view text, std::vector<std::uint32_t>& rigs) {
     rigs.clear();
     std::size_t pos = 0;
@@ -228,7 +141,7 @@ bool parse_rigs(std::string_view text, std::vector<std::uint32_t>& rigs) {
         const std::size_t end =
             colon == std::string_view::npos ? text.size() : colon;
         std::uint32_t rig = 0;
-        if (!parse_integer(text.substr(pos, end - pos), rig)) {
+        if (!wire::parse_int(text.substr(pos, end - pos), rig)) {
             return false;
         }
         rigs.push_back(rig);
@@ -245,17 +158,7 @@ bool parse_rigs(std::string_view text, std::vector<std::uint32_t>& rigs) {
 bool parse_probe_line(std::string_view payload, cohort_key& key,
                       std::int64_t& sweep_mv, std::uint64_t& content,
                       probe_result& result, probe_ledger& ledger) {
-    std::vector<std::string_view> tokens;
-    std::size_t pos = 0;
-    while (pos < payload.size()) {
-        const std::size_t space = payload.find(' ', pos);
-        const std::size_t end =
-            space == std::string_view::npos ? payload.size() : space;
-        if (end > pos) {
-            tokens.push_back(payload.substr(pos, end - pos));
-        }
-        pos = end + 1;
-    }
+    const std::vector<std::string_view> tokens = tokenize(payload);
     if (tokens.empty() || tokens.front() != "probe") {
         return false;
     }
@@ -263,23 +166,23 @@ bool parse_probe_line(std::string_view payload, cohort_key& key,
     if (!(field_value(tokens, "corner", value) &&
           corner_from_string(value, key.corner) &&
           field_value(tokens, "class", value) &&
-          parse_integer(value, key.workload_class) &&
+          wire::parse_int(value, key.workload_class) &&
           field_value(tokens, "op", value) &&
-          parse_integer(value, key.operating_point) &&
+          wire::parse_int(value, key.operating_point) &&
           field_value(tokens, "variant", value) &&
-          parse_integer(value, key.variant) &&
+          wire::parse_int(value, key.variant) &&
           field_value(tokens, "sweep", value) &&
-          parse_integer(value, sweep_mv) &&
+          wire::parse_int(value, sweep_mv) &&
           field_value(tokens, "content", value) &&
-          parse_integer(value, content, 16) &&
+          wire::parse_int(value, content, 16) &&
           field_value(tokens, "req", value) &&
-          parse_real(value, result.requirement_mv) &&
+          wire::parse_real(value, result.requirement_mv) &&
           field_value(tokens, "pnom", value) &&
-          parse_real(value, result.power_nominal_w) &&
+          wire::parse_real(value, result.power_nominal_w) &&
           field_value(tokens, "ppt", value) &&
-          parse_real(value, result.power_point_w) &&
+          wire::parse_real(value, result.power_point_w) &&
           field_value(tokens, "bucket", value) &&
-          parse_integer(value, result.bucket))) {
+          wire::parse_int(value, result.bucket))) {
         return false;
     }
     // The ledger fields are optional on the wire (pre-ledger journals
@@ -289,7 +192,7 @@ bool parse_probe_line(std::string_view payload, cohort_key& key,
                                   std::uint64_t& out) {
         std::string_view text;
         return !field_value(tokens, field, text) ||
-               parse_integer(text, out);
+               wire::parse_int(text, out);
     };
     std::string_view down_text;
     return optional_u64("retries", ledger.retries) &&
@@ -298,7 +201,7 @@ bool parse_probe_line(std::string_view payload, cohort_key& key,
            optional_u64("pwr", ledger.power_switch_failures) &&
            optional_u64("xhst", ledger.exhausted_rounds) &&
            (!field_value(tokens, "down", down_text) ||
-            parse_real(down_text, ledger.downtime_s));
+            wire::parse_real(down_text, ledger.downtime_s));
 }
 
 bool parse_probe_line(std::string_view payload, cohort_key& key,
@@ -523,7 +426,7 @@ void fleet_service::warm_cache_from_journal() {
             std::string_view value;
             std::uint64_t record_epoch = 0;
             if (!field_value(tokens, "epoch", value) ||
-                !parse_integer(value, record_epoch)) {
+                !wire::parse_int(value, record_epoch)) {
                 reject(lineno, "unparseable observatory record");
             }
             if (sealed_epochs_.contains(record_epoch)) {
@@ -535,9 +438,9 @@ void fleet_service::warm_cache_from_journal() {
                 double sample = 0.0;
                 if (!field_value(tokens, "series", series) ||
                     series.empty() || !field_value(tokens, "tick", value) ||
-                    !parse_integer(value, tick) ||
+                    !wire::parse_int(value, tick) ||
                     !field_value(tokens, "value", value) ||
-                    !parse_real(value, sample)) {
+                    !wire::parse_real(value, sample)) {
                     reject(lineno, "unparseable timeline record");
                 }
                 ++warm_tline_counts_[record_epoch];
@@ -556,9 +459,9 @@ void fleet_service::warm_cache_from_journal() {
                     !field_value(tokens, "state", state) ||
                     (state != "firing" && state != "resolved") ||
                     !field_value(tokens, "tick", value) ||
-                    !parse_integer(value, event.tick) ||
+                    !wire::parse_int(value, event.tick) ||
                     !field_value(tokens, "value", value) ||
-                    !parse_real(value, event.value)) {
+                    !wire::parse_real(value, event.value)) {
                     reject(lineno, "unparseable alert record");
                 }
                 event.rule = std::string(rule);
@@ -575,9 +478,9 @@ void fleet_service::warm_cache_from_journal() {
                 std::uint64_t sealed_samples = 0;
                 std::uint64_t sealed_events = 0;
                 if (!field_value(tokens, "samples", value) ||
-                    !parse_integer(value, sealed_samples) ||
+                    !wire::parse_int(value, sealed_samples) ||
                     !field_value(tokens, "events", value) ||
-                    !parse_integer(value, sealed_events)) {
+                    !wire::parse_int(value, sealed_events)) {
                     reject(lineno, "unparseable epoch seal");
                 }
                 if (sealed_samples != warm_tline_counts_[record_epoch] ||
@@ -611,7 +514,7 @@ void fleet_service::warm_cache_from_journal() {
             }
             const std::string_view base = payload.substr(0, chain_at);
             std::uint64_t recorded = 0;
-            if (!parse_integer(payload.substr(chain_at + 7), recorded,
+            if (!wire::parse_int(payload.substr(chain_at + 7), recorded,
                                16)) {
                 reject(lineno, "unparseable chain hash");
             }
@@ -647,9 +550,10 @@ void fleet_service::warm_cache_from_journal() {
         if (duplicate != seen.end()) {
             reject(lineno,
                    same_result(duplicate->second, result)
-                       ? "duplicate entry for content " + format_hex(content)
+                       ? "duplicate entry for content " +
+                             wire::format_hex64(content)
                        : "contradictory re-execution of content " +
-                             format_hex(content));
+                             wire::format_hex64(content));
         }
         if (have_prev && sweep_mv == prev_sweep && !(prev_key < key)) {
             reject(lineno, "cohort order regressed within sweep " +
@@ -961,18 +865,7 @@ void fleet_service::rewrite_journal() {
         bytes += "task=" + std::to_string(serial++) + " " + line + "\n";
     }
     GB_ENSURES(probe_cursor == journal_entries_.size());
-    const std::string temp = config_.journal_path + ".tmp";
-    {
-        std::ofstream out(temp, std::ios::binary | std::ios::trunc);
-        if (!out) {
-            return;
-        }
-        out << bytes;
-        if (!out.flush()) {
-            return;
-        }
-    }
-    if (std::rename(temp.c_str(), config_.journal_path.c_str()) != 0) {
+    if (!publish_file(config_.journal_path, bytes)) {
         return; // keep appending to the old (still-linked) journal
     }
     chain_ = chain;
@@ -1489,7 +1382,7 @@ void fleet_service::observe_epoch() {
         append_observatory_line(
             "tline epoch=" + std::to_string(epoch_) + " series=" + series +
             " tick=" + std::to_string(tick) +
-            " value=" + format_double(value));
+            " value=" + wire::format_double(value));
     }
     // Transitions already journaled by a crashed lifetime were replayed
     // into the engine, so re-evaluating emits exactly the not-yet-
@@ -1505,7 +1398,7 @@ void fleet_service::observe_epoch() {
                 " rule=" + event.rule + " series=" + event.series +
                 " state=" + (event.firing ? "firing" : "resolved") +
                 " tick=" + std::to_string(event.tick) +
-                " value=" + format_double(event.value));
+                " value=" + wire::format_double(event.value));
             ++events;
         }
     }
@@ -1549,8 +1442,8 @@ std::string fleet_service::state_snapshot() const {
           << ",\"probes_executed\":" << requested_contents_.size()
           << ",\"cache_hits\":" << scheduled_hits_
           << ",\"cache_entries\":" << cache_.size()
-          << ",\"power_nominal_w\":" << format_double(power_nominal_w_)
-          << ",\"power_binned_w\":" << format_double(power_binned_w_)
+          << ",\"power_nominal_w\":" << wire::format_double(power_nominal_w_)
+          << ",\"power_binned_w\":" << wire::format_double(power_binned_w_)
           << ",\"supervised_cohorts\":" << supervised_.size()
           << ",\"supervised_epochs\":" << supervised_epochs_;
     fleet << ",\"bins\":[";
@@ -1601,7 +1494,7 @@ std::string fleet_service::state_snapshot() const {
               << ",\"variant\":" << cohort.key.variant
               << ",\"members\":" << cohort.members
               << ",\"probes\":" << cohort.probes << ",\"req_mv\":"
-              << format_double(cohort.probed ? cohort.last.requirement_mv
+              << wire::format_double(cohort.probed ? cohort.last.requirement_mv
                                              : 0.0)
               << ",\"bucket\":" << (cohort.probed ? cohort.last.bucket : -1)
               << '}';
@@ -1633,7 +1526,7 @@ bool fleet_service::publish_state() const {
     if (config_.state_path.empty()) {
         return false;
     }
-    return publish_bytes(config_.state_path, state_snapshot(),
+    return publish_file(config_.state_path, state_snapshot(),
                          config_.chaos);
 }
 
@@ -1650,7 +1543,7 @@ bool fleet_service::publish_timeline() const {
     if (config_.timeline == nullptr || config_.timeline_path.empty()) {
         return false;
     }
-    return publish_bytes(config_.timeline_path, timeline_snapshot(),
+    return publish_file(config_.timeline_path, timeline_snapshot(),
                          config_.chaos);
 }
 

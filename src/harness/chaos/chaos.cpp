@@ -1,9 +1,11 @@
 #include "harness/chaos/chaos.hpp"
 
-#include <charconv>
+#include <algorithm>
+#include <array>
 #include <unistd.h>
 
 #include "harness/execution_engine.hpp"
+#include "harness/fault_injection.hpp"
 #include "util/contracts.hpp"
 
 namespace gb {
@@ -14,7 +16,10 @@ namespace {
 // the rig-fault or task-seed streams built from the same campaign seed.
 constexpr std::uint64_t tear_domain = 0x746f726e2d777274ULL;
 
-constexpr std::size_t site_count = 6;
+constexpr std::array<std::string_view, 6> site_names = {
+    "journal_append",  "snapshot_temp", "snapshot_rename",
+    "control_command", "cache_warm",    "timeline_append",
+};
 
 std::size_t site_index(chaos_site site) {
     return static_cast<std::size_t>(site);
@@ -23,26 +28,17 @@ std::size_t site_index(chaos_site site) {
 } // namespace
 
 std::string_view to_string(chaos_site site) {
-    switch (site) {
-    case chaos_site::journal_append: return "journal_append";
-    case chaos_site::snapshot_temp: return "snapshot_temp";
-    case chaos_site::snapshot_rename: return "snapshot_rename";
-    case chaos_site::control_command: return "control_command";
-    case chaos_site::cache_warm: return "cache_warm";
-    case chaos_site::timeline_append: return "timeline_append";
-    }
-    return "?";
+    return site_index(site) < site_names.size() ? site_names[site_index(site)]
+                                                : "?";
 }
 
 bool chaos_site_from_string(std::string_view text, chaos_site& site) {
-    for (std::size_t i = 0; i < site_count; ++i) {
-        const auto candidate = static_cast<chaos_site>(i);
-        if (text == to_string(candidate)) {
-            site = candidate;
-            return true;
-        }
+    const auto it = std::find(site_names.begin(), site_names.end(), text);
+    if (it == site_names.end()) {
+        return false;
     }
-    return false;
+    site = static_cast<chaos_site>(it - site_names.begin());
+    return true;
 }
 
 chaos_crash::chaos_crash(chaos_site site)
@@ -96,90 +92,48 @@ std::optional<chaos_tear> chaos_plan::on_journal_append(std::uint64_t written,
     return std::nullopt;
 }
 
-std::optional<chaos_tear> chaos_plan::on_snapshot_temp(std::uint64_t size) {
+const chaos_trigger* chaos_plan::fire_on_hit(chaos_site site) {
     std::lock_guard<std::mutex> lock(mutex_);
-    const std::uint64_t hit =
-        ++hits_[site_index(chaos_site::snapshot_temp)];
+    const std::uint64_t hit = ++hits_[site_index(site)];
     for (std::size_t t = 0; t < config_.triggers.size(); ++t) {
         const chaos_trigger& trigger = config_.triggers[t];
-        if (fired_flags_[t] || trigger.site != chaos_site::snapshot_temp ||
-            hit != trigger.at) {
-            continue;
+        if (!fired_flags_[t] && trigger.site == site && hit == trigger.at) {
+            fired_flags_[t] = true;
+            ++fired_count_;
+            return &trigger;
         }
-        fired_flags_[t] = true;
-        ++fired_count_;
-        return chaos_tear{chaos_site::snapshot_temp,
-                          derive_keep(hit, size, trigger.keep)};
     }
-    return std::nullopt;
+    return nullptr;
+}
+
+std::optional<chaos_tear> chaos_plan::on_snapshot_temp(std::uint64_t size) {
+    const chaos_trigger* trigger = fire_on_hit(chaos_site::snapshot_temp);
+    if (trigger == nullptr) {
+        return std::nullopt;
+    }
+    return chaos_tear{chaos_site::snapshot_temp,
+                      derive_keep(trigger->at, size, trigger->keep)};
 }
 
 bool chaos_plan::on_snapshot_rename() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const std::uint64_t hit =
-        ++hits_[site_index(chaos_site::snapshot_rename)];
-    for (std::size_t t = 0; t < config_.triggers.size(); ++t) {
-        const chaos_trigger& trigger = config_.triggers[t];
-        if (!fired_flags_[t] &&
-            trigger.site == chaos_site::snapshot_rename &&
-            hit == trigger.at) {
-            fired_flags_[t] = true;
-            ++fired_count_;
-            return true;
-        }
-    }
-    return false;
+    return fire_on_hit(chaos_site::snapshot_rename) != nullptr;
 }
 
 bool chaos_plan::on_control_command() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const std::uint64_t hit =
-        ++hits_[site_index(chaos_site::control_command)];
-    for (std::size_t t = 0; t < config_.triggers.size(); ++t) {
-        const chaos_trigger& trigger = config_.triggers[t];
-        if (!fired_flags_[t] &&
-            trigger.site == chaos_site::control_command &&
-            hit == trigger.at) {
-            fired_flags_[t] = true;
-            ++fired_count_;
-            return true;
-        }
-    }
-    return false;
+    return fire_on_hit(chaos_site::control_command) != nullptr;
 }
 
 bool chaos_plan::on_cache_warm_line() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const std::uint64_t hit = ++hits_[site_index(chaos_site::cache_warm)];
-    for (std::size_t t = 0; t < config_.triggers.size(); ++t) {
-        const chaos_trigger& trigger = config_.triggers[t];
-        if (!fired_flags_[t] && trigger.site == chaos_site::cache_warm &&
-            hit == trigger.at) {
-            fired_flags_[t] = true;
-            ++fired_count_;
-            return true;
-        }
-    }
-    return false;
+    return fire_on_hit(chaos_site::cache_warm) != nullptr;
 }
 
 std::optional<chaos_tear> chaos_plan::on_timeline_append(std::uint64_t size) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const std::uint64_t hit =
-        ++hits_[site_index(chaos_site::timeline_append)];
-    for (std::size_t t = 0; t < config_.triggers.size(); ++t) {
-        const chaos_trigger& trigger = config_.triggers[t];
-        if (fired_flags_[t] ||
-            trigger.site != chaos_site::timeline_append ||
-            hit != trigger.at) {
-            continue;
-        }
-        fired_flags_[t] = true;
-        ++fired_count_;
-        return chaos_tear{chaos_site::timeline_append,
-                          derive_keep(hit, size, trigger.keep)};
+    const chaos_trigger* trigger = fire_on_hit(chaos_site::timeline_append);
+    if (trigger == nullptr) {
+        return std::nullopt;
     }
-    return std::nullopt;
+    return chaos_tear{chaos_site::timeline_append,
+                      derive_keep(trigger->at, size, trigger->keep)};
 }
 
 void chaos_plan::kill(chaos_site site) const {
@@ -198,66 +152,18 @@ std::uint64_t chaos_plan::fired() const {
 
 bool parse_chaos_spec(std::string_view spec, chaos_plan_config& config,
                       std::string& error) {
-    std::size_t pos = 0;
-    while (pos <= spec.size()) {
-        const std::size_t comma = spec.find(',', pos);
-        const std::size_t end =
-            comma == std::string_view::npos ? spec.size() : comma;
-        const std::string_view token = spec.substr(pos, end - pos);
-        pos = end + 1;
-        if (token.empty()) {
-            if (comma == std::string_view::npos) {
-                break;
-            }
-            error = "empty chaos trigger in spec '" + std::string(spec) +
-                    "'";
-            return false;
-        }
-        const std::size_t at_sep = token.find('@');
-        if (at_sep == std::string_view::npos || at_sep == 0) {
-            error = "chaos trigger '" + std::string(token) +
-                    "' wants site@at[/keep]";
-            return false;
-        }
-        chaos_trigger trigger;
-        if (!chaos_site_from_string(token.substr(0, at_sep),
-                                    trigger.site)) {
-            error = "chaos trigger '" + std::string(token) +
-                    "': unknown chaos site '" +
-                    std::string(token.substr(0, at_sep)) + "'";
-            return false;
-        }
-        std::string_view numbers = token.substr(at_sep + 1);
-        std::string_view keep_text;
-        const std::size_t slash = numbers.find('/');
-        if (slash != std::string_view::npos) {
-            keep_text = numbers.substr(slash + 1);
-            numbers = numbers.substr(0, slash);
-        }
-        const auto parse_u64 = [](std::string_view text,
-                                  std::uint64_t& out) {
-            const auto [ptr, ec] = std::from_chars(
-                text.data(), text.data() + text.size(), out);
-            return ec == std::errc{} &&
-                   ptr == text.data() + text.size();
-        };
-        if (!parse_u64(numbers, trigger.at) || trigger.at == 0) {
-            error = "chaos trigger '" + std::string(token) +
-                    "' wants a positive integer after '@'";
-            return false;
-        }
-        if (!keep_text.empty() &&
-            !parse_u64(keep_text, trigger.keep)) {
-            error = "chaos trigger '" + std::string(token) +
-                    "' wants an integer torn length after '/'";
-            return false;
-        }
-        config.triggers.push_back(trigger);
-        if (comma == std::string_view::npos) {
-            break;
-        }
-    }
-    return true;
+    const trigger_grammar grammar{"chaos", site_names, "keep",
+                                  "torn length"};
+    return parse_trigger_spec(
+        spec, grammar, error,
+        [&](std::size_t site, std::uint64_t at,
+            std::optional<std::uint64_t> keep) {
+            chaos_trigger trigger;
+            trigger.site = static_cast<chaos_site>(site);
+            trigger.at = at;
+            trigger.keep = keep.value_or(chaos_trigger::keep_auto);
+            config.triggers.push_back(trigger);
+        });
 }
 
 double replan_backoff_s(double base_s, int round) {

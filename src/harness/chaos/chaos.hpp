@@ -139,6 +139,9 @@ public:
     [[nodiscard]] const chaos_plan_config& config() const { return config_; }
 
 private:
+    /// The hit-counted seams' one arm check: count a hit of `site` and
+    /// consume the first unfired trigger armed at exactly that hit.
+    [[nodiscard]] const chaos_trigger* fire_on_hit(chaos_site site);
     [[nodiscard]] std::uint64_t derive_keep(std::uint64_t hit,
                                             std::uint64_t size,
                                             std::uint64_t keep) const;

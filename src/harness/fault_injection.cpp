@@ -1,12 +1,14 @@
 #include "harness/fault_injection.hpp"
 
+#include <algorithm>
+#include <array>
 #include <bit>
-#include <charconv>
 #include <cmath>
 
 #include "harness/execution_engine.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
+#include "util/wire.hpp"
 
 namespace gb {
 
@@ -20,7 +22,8 @@ constexpr std::uint64_t log_fault_domain = 0x6c6f672d66617574ULL;
 constexpr std::uint64_t sensor_fault_domain = 0x7463702d66617574ULL;
 constexpr std::uint64_t sdc_domain = 0x7364632d66617574ULL;
 
-constexpr std::size_t sdc_site_count = 4;
+constexpr std::array<std::string_view, 4> sdc_site_names = {
+    "vmin_flip", "weak_drop", "weak_phantom", "power_scale"};
 
 } // namespace
 
@@ -135,24 +138,18 @@ fault_plan make_uniform_fault_plan(std::uint64_t seed, double fault_rate) {
 // --- silent data corruption ------------------------------------------------
 
 std::string_view to_string(sdc_site site) {
-    switch (site) {
-    case sdc_site::vmin_flip: return "vmin_flip";
-    case sdc_site::weak_drop: return "weak_drop";
-    case sdc_site::weak_phantom: return "weak_phantom";
-    case sdc_site::power_scale: return "power_scale";
-    }
-    return "?";
+    const auto index = static_cast<std::size_t>(site);
+    return index < sdc_site_names.size() ? sdc_site_names[index] : "?";
 }
 
 bool sdc_site_from_string(std::string_view text, sdc_site& site) {
-    for (std::size_t i = 0; i < sdc_site_count; ++i) {
-        const auto candidate = static_cast<sdc_site>(i);
-        if (text == to_string(candidate)) {
-            site = candidate;
-            return true;
-        }
+    const auto it =
+        std::find(sdc_site_names.begin(), sdc_site_names.end(), text);
+    if (it == sdc_site_names.end()) {
+        return false;
     }
-    return false;
+    site = static_cast<sdc_site>(it - sdc_site_names.begin());
+    return true;
 }
 
 sdc_plan::sdc_plan(sdc_plan_config config)
@@ -212,6 +209,23 @@ double sdc_plan::corrupt_power(double watts, std::uint64_t param) {
 
 bool parse_sdc_spec(std::string_view spec, sdc_plan_config& config,
                     std::string& error) {
+    const trigger_grammar grammar{"sdc", sdc_site_names, "param",
+                                  "parameter"};
+    return parse_trigger_spec(
+        spec, grammar, error,
+        [&](std::size_t site, std::uint64_t at,
+            std::optional<std::uint64_t> param) {
+            sdc_trigger trigger;
+            trigger.site = static_cast<sdc_site>(site);
+            trigger.at = at;
+            trigger.param = param.value_or(sdc_trigger::param_auto);
+            config.triggers.push_back(trigger);
+        });
+}
+
+bool parse_trigger_spec(std::string_view spec, const trigger_grammar& grammar,
+                        std::string& error, const trigger_sink& emit) {
+    const std::string kind(grammar.kind);
     std::size_t pos = 0;
     while (pos <= spec.size()) {
         const std::size_t comma = spec.find(',', pos);
@@ -223,20 +237,24 @@ bool parse_sdc_spec(std::string_view spec, sdc_plan_config& config,
             if (comma == std::string_view::npos) {
                 break;
             }
-            error = "empty sdc trigger in spec '" + std::string(spec) + "'";
+            error = "empty " + kind + " trigger in spec '" +
+                    std::string(spec) + "'";
             return false;
         }
+        const std::string quoted =
+            kind + " trigger '" + std::string(token) + "'";
         const std::size_t at_sep = token.find('@');
         if (at_sep == std::string_view::npos || at_sep == 0) {
-            error = "sdc trigger '" + std::string(token) +
-                    "' wants site@at[/param]";
+            error = quoted + " wants site@at[/" + std::string(grammar.param) +
+                    "]";
             return false;
         }
-        sdc_trigger trigger;
-        if (!sdc_site_from_string(token.substr(0, at_sep), trigger.site)) {
-            error = "sdc trigger '" + std::string(token) +
-                    "': unknown sdc site '" +
-                    std::string(token.substr(0, at_sep)) + "'";
+        const std::string_view site_name = token.substr(0, at_sep);
+        const auto site =
+            std::find(grammar.sites.begin(), grammar.sites.end(), site_name);
+        if (site == grammar.sites.end()) {
+            error = quoted + ": unknown " + kind + " site '" +
+                    std::string(site_name) + "'";
             return false;
         }
         std::string_view numbers = token.substr(at_sep + 1);
@@ -246,24 +264,20 @@ bool parse_sdc_spec(std::string_view spec, sdc_plan_config& config,
             param_text = numbers.substr(slash + 1);
             numbers = numbers.substr(0, slash);
         }
-        const auto parse_u64 = [](std::string_view text,
-                                  std::uint64_t& out) {
-            const auto [ptr, ec] = std::from_chars(
-                text.data(), text.data() + text.size(), out);
-            return ec == std::errc{} && ptr == text.data() + text.size();
-        };
-        if (!parse_u64(numbers, trigger.at) || trigger.at == 0) {
-            error = "sdc trigger '" + std::string(token) +
-                    "' wants a positive integer after '@'";
+        std::uint64_t at = 0;
+        if (!wire::parse_int(numbers, at) || at == 0) {
+            error = quoted + " wants a positive integer after '@'";
             return false;
         }
+        std::optional<std::uint64_t> param;
         if (!param_text.empty() &&
-            !parse_u64(param_text, trigger.param)) {
-            error = "sdc trigger '" + std::string(token) +
-                    "' wants an integer parameter after '/'";
+            !wire::parse_int(param_text, param.emplace())) {
+            error = quoted + " wants an integer " +
+                    std::string(grammar.param_noun) + " after '/'";
             return false;
         }
-        config.triggers.push_back(trigger);
+        emit(static_cast<std::size_t>(site - grammar.sites.begin()), at,
+             param);
         if (comma == std::string_view::npos) {
             break;
         }

@@ -18,8 +18,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -205,5 +207,31 @@ private:
 [[nodiscard]] bool parse_sdc_spec(std::string_view spec,
                                   sdc_plan_config& config,
                                   std::string& error);
+
+// --- trigger specs ---------------------------------------------------------
+
+/// The comma-separated `site@at[/param]` grammar shared by the chaos and
+/// SDC trigger specs.  Diagnostics name the spec `kind` ("chaos trigger
+/// 'x@0' wants a positive integer after '@'") and the parameter by its
+/// `param` slot name and `param_noun`.
+struct trigger_grammar {
+    std::string_view kind;                   ///< "chaos", "sdc"
+    std::span<const std::string_view> sites; ///< site names, enum order
+    std::string_view param;                  ///< "keep", "param"
+    std::string_view param_noun;             ///< "torn length", "parameter"
+};
+
+/// Receives each parsed trigger: its index into `trigger_grammar::sites`,
+/// its `at`, and its `/param` when one was given.
+using trigger_sink = std::function<void(
+    std::size_t site, std::uint64_t at, std::optional<std::uint64_t> param)>;
+
+/// Parse `spec`, handing triggers to `emit` in order.  False at the first
+/// malformed token, with a diagnostic quoting it in `error`; triggers
+/// before it have already been emitted.
+[[nodiscard]] bool parse_trigger_spec(std::string_view spec,
+                                      const trigger_grammar& grammar,
+                                      std::string& error,
+                                      const trigger_sink& emit);
 
 } // namespace gb

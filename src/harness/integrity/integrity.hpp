@@ -33,12 +33,14 @@
 #include <string_view>
 #include <vector>
 
+#include "util/wire.hpp"
+
 namespace gb {
 
 // --- hash chain ------------------------------------------------------------
 
 /// FNV-1a offset basis; the chain value of the empty journal.
-inline constexpr std::uint64_t chain_basis = 14695981039346656037ULL;
+inline constexpr std::uint64_t chain_basis = wire::fnv1a_basis;
 
 /// Chain value after appending `payload`: FNV-1a over the previous chain
 /// value's 8 little-endian bytes followed by the payload bytes.  An

@@ -1,6 +1,5 @@
 #include "harness/journal.hpp"
 
-#include <charconv>
 #include <istream>
 #include <ostream>
 
@@ -8,6 +7,7 @@
 #include "harness/fault_injection.hpp"
 #include "harness/logfile.hpp"
 #include "util/contracts.hpp"
+#include "util/wire.hpp"
 
 namespace gb {
 
@@ -92,11 +92,7 @@ bool parse_journal_prefix(std::string_view line, std::size_t& task_index,
     }
     const std::string_view index_token = rest.substr(0, space);
     std::size_t parsed = 0;
-    const auto [ptr, ec] =
-        std::from_chars(index_token.data(),
-                        index_token.data() + index_token.size(), parsed);
-    if (ec != std::errc{} ||
-        ptr != index_token.data() + index_token.size()) {
+    if (!wire::parse_int(index_token, parsed)) {
         return false;
     }
     task_index = parsed;

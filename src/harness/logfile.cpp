@@ -1,12 +1,9 @@
 #include "harness/logfile.hpp"
 
-#include <array>
-#include <charconv>
-#include <cmath>
 #include <istream>
 #include <ostream>
 
-#include "util/contracts.hpp"
+#include "util/wire.hpp"
 
 namespace gb {
 
@@ -14,17 +11,6 @@ namespace {
 
 constexpr std::string_view record_prefix = "run=";
 constexpr std::string_view dram_prefix = "dram=";
-
-/// Shortest round-trip decimal form: parsing the result with from_chars
-/// yields the exact same double, which is what makes journal resume
-/// bit-identical to an uninterrupted run.
-std::string format_double(double value) {
-    std::array<char, 32> buffer{};
-    const auto [ptr, ec] =
-        std::to_chars(buffer.data(), buffer.data() + buffer.size(), value);
-    GB_ASSERT(ec == std::errc{});
-    return std::string(buffer.data(), ptr);
-}
 
 std::string_view outcome_token(run_outcome outcome) {
     return to_string(outcome);
@@ -66,89 +52,25 @@ bool parse_pattern(std::string_view token, data_pattern& pattern) {
     return false;
 }
 
-bool parse_double(std::string_view token, double& value) {
-    const char* begin = token.data();
-    const char* end = begin + token.size();
-    const auto [ptr, ec] = std::from_chars(begin, end, value);
-    // from_chars accepts "inf"/"nan" spellings; a corrupted journal line
-    // must not smuggle a non-finite quantity into a record.
-    return ec == std::errc{} && ptr == end && std::isfinite(value);
-}
-
-bool parse_int(std::string_view token, int& value) {
-    const char* begin = token.data();
-    const char* end = begin + token.size();
-    const auto [ptr, ec] = std::from_chars(begin, end, value);
-    return ec == std::errc{} && ptr == end;
-}
-
-bool parse_u64(std::string_view token, std::uint64_t& value) {
-    const char* begin = token.data();
-    const char* end = begin + token.size();
-    const auto [ptr, ec] = std::from_chars(begin, end, value);
-    return ec == std::errc{} && ptr == end;
-}
-
-bool parse_i64(std::string_view token, std::int64_t& value) {
-    const char* begin = token.data();
-    const char* end = begin + token.size();
-    const auto [ptr, ec] = std::from_chars(begin, end, value);
-    return ec == std::errc{} && ptr == end;
-}
-
-/// Split "key=value" around the first '='.
-bool split_kv(std::string_view field, std::string_view& key,
-              std::string_view& value) {
-    const std::size_t eq = field.find('=');
-    if (eq == std::string_view::npos) {
-        return false;
-    }
-    key = field.substr(0, eq);
-    value = field.substr(eq + 1);
-    return true;
-}
-
-/// Iterate a line's space-separated fields; stops (returning false) on the
-/// first field that fails `consume`.
-template <typename Fn>
-bool for_each_field(std::string_view line, Fn&& consume) {
-    std::size_t position = 0;
-    while (position < line.size()) {
-        std::size_t space = line.find(' ', position);
-        if (space == std::string_view::npos) {
-            space = line.size();
-        }
-        const std::string_view field =
-            line.substr(position, space - position);
-        position = space + 1;
-        if (field.empty()) {
-            continue;
-        }
-        std::string_view key;
-        std::string_view value;
-        if (!split_kv(field, key, value) || !consume(key, value)) {
-            return false;
-        }
-    }
-    return true;
-}
-
 } // namespace
 
 std::string to_log_line(const run_record& record) {
     std::string line;
     line += record_prefix;
     line += record.benchmark;
-    line += " v=" + format_double(record.voltage.value);
-    line += " f=" + format_double(record.frequency.value);
+    line += " v=" + wire::format_double(record.voltage.value);
+    line += " f=" + wire::format_double(record.frequency.value);
     line += " cores=";
     for (std::size_t i = 0; i < record.cores.size(); ++i) {
-        line += (i > 0 ? "+" : "") + std::to_string(record.cores[i]);
+        if (i > 0) {
+            line += '+';
+        }
+        line += std::to_string(record.cores[i]);
     }
     line += " rep=" + std::to_string(record.repetition);
     line += " outcome=";
     line += outcome_token(record.outcome);
-    line += " margin=" + format_double(record.margin.value);
+    line += " margin=" + wire::format_double(record.margin.value);
     line += " path=";
     line += to_string(record.path);
     line += " wdt=";
@@ -169,7 +91,7 @@ bool parse_log_line(std::string_view line, run_record& record) {
     // trailing fields -- same reason the DRAM format keeps outcome last.
     bool have_wdt = false;
 
-    const bool well_formed = for_each_field(
+    const bool well_formed = wire::for_each_field(
         line, [&](std::string_view key, std::string_view value) {
             if (key == "run") {
                 if (value.empty()) {
@@ -179,14 +101,14 @@ bool parse_log_line(std::string_view line, run_record& record) {
                 have_benchmark = true;
             } else if (key == "v") {
                 double v = 0.0;
-                if (!parse_double(value, v)) {
+                if (!wire::parse_real(value, v)) {
                     return false;
                 }
                 parsed.voltage = millivolts{v};
                 have_voltage = true;
             } else if (key == "f") {
                 double f = 0.0;
-                if (!parse_double(value, f)) {
+                if (!wire::parse_real(value, f)) {
                     return false;
                 }
                 parsed.frequency = megahertz{f};
@@ -198,7 +120,7 @@ bool parse_log_line(std::string_view line, run_record& record) {
                         plus = value.size();
                     }
                     int core = 0;
-                    if (!parse_int(value.substr(start, plus - start),
+                    if (!wire::parse_int(value.substr(start, plus - start),
                                    core)) {
                         return false;
                     }
@@ -209,7 +131,7 @@ bool parse_log_line(std::string_view line, run_record& record) {
                     }
                 }
             } else if (key == "rep") {
-                if (!parse_int(value, parsed.repetition)) {
+                if (!wire::parse_int(value, parsed.repetition)) {
                     return false;
                 }
             } else if (key == "outcome") {
@@ -219,7 +141,7 @@ bool parse_log_line(std::string_view line, run_record& record) {
                 have_outcome = true;
             } else if (key == "margin") {
                 double m = 0.0;
-                if (!parse_double(value, m)) {
+                if (!wire::parse_real(value, m)) {
                     return false;
                 }
                 parsed.margin = millivolts{m};
@@ -233,7 +155,7 @@ bool parse_log_line(std::string_view line, run_record& record) {
                 }
             } else if (key == "wdt") {
                 int flag = 0;
-                if (!parse_int(value, flag)) {
+                if (!wire::parse_int(value, flag)) {
                     return false;
                 }
                 parsed.watchdog_reset = flag != 0;
@@ -258,8 +180,8 @@ std::string to_log_line(const dram_run_record& record) {
     std::string line;
     line += dram_prefix;
     line += to_string(record.pattern);
-    line += " t=" + format_double(record.temperature.value);
-    line += " p=" + format_double(record.refresh_period.value);
+    line += " t=" + wire::format_double(record.temperature.value);
+    line += " p=" + wire::format_double(record.refresh_period.value);
     line += " rep=" + std::to_string(record.repetition);
     line += " fail=" + std::to_string(record.scan.failed_cells);
     line += " words=" + std::to_string(record.scan.affected_words);
@@ -269,10 +191,12 @@ std::string to_log_line(const dram_run_record& record) {
     line += " bits=" + std::to_string(record.scan.scanned_bits);
     line += " banks=";
     for (std::size_t b = 0; b < record.scan.per_bank_failures.size(); ++b) {
-        line += (b > 0 ? "+" : "") +
-                std::to_string(record.scan.per_bank_failures[b]);
+        if (b > 0) {
+            line += '+';
+        }
+        line += std::to_string(record.scan.per_bank_failures[b]);
     }
-    line += " regdev=" + format_double(record.regulation_deviation_c);
+    line += " regdev=" + wire::format_double(record.regulation_deviation_c);
     line += " outcome=";
     line += to_string(record.outcome);
     return line;
@@ -287,7 +211,7 @@ bool parse_log_line(std::string_view line, dram_run_record& record) {
     bool have_temperature = false;
     bool have_outcome = false;
 
-    const bool well_formed = for_each_field(
+    const bool well_formed = wire::for_each_field(
         line, [&](std::string_view key, std::string_view value) {
             if (key == "dram") {
                 if (!parse_pattern(value, parsed.pattern)) {
@@ -296,43 +220,43 @@ bool parse_log_line(std::string_view line, dram_run_record& record) {
                 have_pattern = true;
             } else if (key == "t") {
                 double t = 0.0;
-                if (!parse_double(value, t)) {
+                if (!wire::parse_real(value, t)) {
                     return false;
                 }
                 parsed.temperature = celsius{t};
                 have_temperature = true;
             } else if (key == "p") {
                 double p = 0.0;
-                if (!parse_double(value, p)) {
+                if (!wire::parse_real(value, p)) {
                     return false;
                 }
                 parsed.refresh_period = milliseconds{p};
             } else if (key == "rep") {
-                if (!parse_int(value, parsed.repetition)) {
+                if (!wire::parse_int(value, parsed.repetition)) {
                     return false;
                 }
             } else if (key == "fail") {
-                if (!parse_u64(value, parsed.scan.failed_cells)) {
+                if (!wire::parse_int(value, parsed.scan.failed_cells)) {
                     return false;
                 }
             } else if (key == "words") {
-                if (!parse_u64(value, parsed.scan.affected_words)) {
+                if (!wire::parse_int(value, parsed.scan.affected_words)) {
                     return false;
                 }
             } else if (key == "ce") {
-                if (!parse_u64(value, parsed.scan.ce_words)) {
+                if (!wire::parse_int(value, parsed.scan.ce_words)) {
                     return false;
                 }
             } else if (key == "ue") {
-                if (!parse_u64(value, parsed.scan.ue_words)) {
+                if (!wire::parse_int(value, parsed.scan.ue_words)) {
                     return false;
                 }
             } else if (key == "sdc") {
-                if (!parse_u64(value, parsed.scan.sdc_words)) {
+                if (!wire::parse_int(value, parsed.scan.sdc_words)) {
                     return false;
                 }
             } else if (key == "bits") {
-                if (!parse_i64(value, parsed.scan.scanned_bits)) {
+                if (!wire::parse_int(value, parsed.scan.scanned_bits)) {
                     return false;
                 }
             } else if (key == "banks") {
@@ -346,7 +270,7 @@ bool parse_log_line(std::string_view line, dram_run_record& record) {
                     if (bank >= parsed.scan.per_bank_failures.size()) {
                         return false;
                     }
-                    if (!parse_u64(value.substr(start, plus - start),
+                    if (!wire::parse_int(value.substr(start, plus - start),
                                    parsed.scan.per_bank_failures[bank])) {
                         return false;
                     }
@@ -360,7 +284,7 @@ bool parse_log_line(std::string_view line, dram_run_record& record) {
                     return false;
                 }
             } else if (key == "regdev") {
-                if (!parse_double(value,
+                if (!wire::parse_real(value,
                                   parsed.regulation_deviation_c)) {
                     return false;
                 }

@@ -1,7 +1,6 @@
 #include "harness/report/analysis.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -11,21 +10,10 @@
 #include "harness/campaign.hpp"
 #include "harness/dram_campaign.hpp"
 #include "util/table.hpp"
+#include "util/wire.hpp"
 
 namespace gb::report {
 namespace {
-
-/// Shortest round-trip double formatting, matching the metrics emitter so
-/// rendered values never disagree with the artifact bytes.
-std::string format_value(double value) {
-    char buffer[64];
-    const auto [ptr, ec] =
-        std::to_chars(buffer, buffer + sizeof(buffer), value);
-    if (ec != std::errc{}) {
-        return "?";
-    }
-    return std::string(buffer, ptr);
-}
 
 std::string format_cores(const std::vector<int>& cores) {
     std::string out;
@@ -518,7 +506,7 @@ void render_timeline(std::ostream& out, const trace_model& model,
             table.add_row({name, "counter", std::to_string(value)});
         }
         for (const auto& [name, value] : metrics->gauges) {
-            table.add_row({name, "gauge", format_value(value)});
+            table.add_row({name, "gauge", wire::format_double(value)});
         }
         for (const auto& [name, histogram] : metrics->histograms) {
             table.add_row({name, "histogram",
@@ -563,7 +551,8 @@ struct flat_metric {
     bool is_integer = false;
 
     [[nodiscard]] std::string text() const {
-        return is_integer ? std::to_string(integer) : format_value(value);
+        return is_integer ? std::to_string(integer)
+                          : wire::format_double(value);
     }
 };
 

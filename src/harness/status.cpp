@@ -1,26 +1,13 @@
 #include "harness/status.hpp"
 
-#include <charconv>
 #include <cstdio>
-#include <system_error>
+#include <fstream>
 
+#include "harness/chaos/chaos.hpp"
 #include "harness/trace/trace.hpp"
+#include "util/wire.hpp"
 
 namespace gb {
-
-namespace {
-
-std::string format_seconds(double value) {
-    char buffer[64];
-    const auto [ptr, ec] =
-        std::to_chars(buffer, buffer + sizeof(buffer), value);
-    if (ec != std::errc{}) {
-        return "0";
-    }
-    return std::string(buffer, ptr);
-}
-
-} // namespace
 
 std::string write_status_json(const campaign_status& status) {
     std::string out = "{\"campaign\":\"";
@@ -51,7 +38,7 @@ std::string write_status_json(const campaign_status& status) {
             out += std::to_string(status.worker_task[w]);
         }
         out += "],\"wall_elapsed_s\":";
-        out += format_seconds(status.wall_elapsed_s);
+        out += wire::format_double(status.wall_elapsed_s);
         out += "}";
     }
     out += "}\n";
@@ -59,28 +46,39 @@ std::string write_status_json(const campaign_status& status) {
 }
 
 bool publish_status(const std::string& path, const campaign_status& status) {
-    // Write-temp-then-rename: rename(2) is atomic on POSIX, so a reader
-    // polling `path` sees either the previous snapshot or this one, never
-    // a prefix.  One fixed temp name suffices -- a status file has exactly
-    // one writer (the engine publishes under a mutex).
+    // One fixed temp name suffices -- a status file has exactly one writer
+    // (the engine publishes under a mutex).
+    return publish_file(path, write_status_json(status));
+}
+
+bool publish_file(const std::string& path, std::string_view bytes,
+                  chaos_plan* chaos) {
     const std::string temp = path + ".tmp";
-    const std::string body = write_status_json(status);
-    std::FILE* file = std::fopen(temp.c_str(), "wb");
-    if (file == nullptr) {
-        return false;
+    bool written = false;
+    {
+        std::ofstream out(temp, std::ios::binary | std::ios::trunc);
+        if (!out) {
+            return false;
+        }
+        if (chaos != nullptr) {
+            if (const auto tear = chaos->on_snapshot_temp(bytes.size())) {
+                out << bytes.substr(0, static_cast<std::size_t>(tear->keep));
+                out.flush();
+                chaos->kill(tear->site);
+            }
+        }
+        out << bytes;
+        out.close();
+        written = !out.fail();
     }
-    const bool written =
-        std::fwrite(body.data(), 1, body.size(), file) == body.size();
-    const bool closed = std::fclose(file) == 0;
-    if (!written || !closed) {
-        std::remove(temp.c_str());
-        return false;
+    if (written && chaos != nullptr && chaos->on_snapshot_rename()) {
+        chaos->kill(chaos_site::snapshot_rename);
     }
-    if (std::rename(temp.c_str(), path.c_str()) != 0) {
-        std::remove(temp.c_str());
-        return false;
+    if (written && std::rename(temp.c_str(), path.c_str()) == 0) {
+        return true;
     }
-    return true;
+    std::remove(temp.c_str());
+    return false;
 }
 
 } // namespace gb

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace gb {
@@ -42,5 +43,17 @@ struct campaign_status {
 /// Atomically publish a snapshot to `path` via write-temp-then-rename.
 /// Returns false (and leaves any previous snapshot intact) on I/O errors.
 bool publish_status(const std::string& path, const campaign_status& status);
+
+class chaos_plan;
+
+/// Atomically replace `path` with `bytes`: write the sibling `path.tmp`,
+/// then rename(2) it over `path`, so a reader sees either the previous
+/// file or the new one, never a prefix.  Returns false on any I/O error,
+/// leaving `path` intact and removing the temp file.  With a `chaos`
+/// plan, the snapshot_temp seam may tear the temp write and the
+/// snapshot_rename seam may kill before the rename; a kill leaves the torn
+/// or finished temp file in place, as a real crash would.
+bool publish_file(const std::string& path, std::string_view bytes,
+                  chaos_plan* chaos = nullptr);
 
 } // namespace gb

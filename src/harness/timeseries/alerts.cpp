@@ -1,11 +1,11 @@
 #include "harness/timeseries/alerts.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <fstream>
 #include <sstream>
 
 #include "util/contracts.hpp"
+#include "util/wire.hpp"
 
 namespace gb {
 
@@ -41,18 +41,9 @@ std::vector<std::string_view> tokenize(std::string_view line) {
     return tokens;
 }
 
-bool parse_number(std::string_view text, double& out) {
-    const auto [ptr, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), out);
-    return ec == std::errc{} && ptr == text.data() + text.size();
-}
-
 bool parse_window(std::string_view text, std::size_t& out) {
     std::uint64_t value = 0;
-    const auto [ptr, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), value);
-    if (ec != std::errc{} || ptr != text.data() + text.size() ||
-        value < 2) {
+    if (!wire::parse_int(text, value) || value < 2) {
         return false;
     }
     out = static_cast<std::size_t>(value);
@@ -205,7 +196,7 @@ std::optional<std::vector<alert_rule>> parse_alert_rules(
                                          std::string(op) +
                                          "' (above|below|delta|slope)");
         }
-        if (!parse_number(tokens[4], rule.threshold)) {
+        if (!wire::parse_real(tokens[4], rule.threshold)) {
             return fail(line_number, "threshold '" + std::string(tokens[4]) +
                                          "' is not a number");
         }

@@ -1,48 +1,19 @@
 #include "harness/timeseries/timeseries.hpp"
 
 #include <algorithm>
-#include <array>
-#include <charconv>
 #include <cmath>
 #include <ostream>
 
 #include "harness/timeseries/alerts.hpp"
 #include "util/contracts.hpp"
+#include "util/wire.hpp"
 
 namespace gb {
 
 namespace {
 
-/// Shortest round-trip double: the journal/metrics wire convention, so
-/// replayed values compare bit-equal.
-std::string format_double(double value) {
-    std::array<char, 32> buffer{};
-    const auto [ptr, ec] =
-        std::to_chars(buffer.data(), buffer.data() + buffer.size(), value);
-    GB_ENSURES(ec == std::errc{});
-    return std::string(buffer.data(), ptr);
-}
-
-std::string json_escape(std::string_view text) {
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        default:
-            out += c;
-        }
-    }
-    return out;
-}
+using wire::format_double;
+using wire::json_escape;
 
 /// Default evicted-histogram ladder: decades of milli-units, covering
 /// health counters (units) through Vmin series (~10^6 milli-mV).

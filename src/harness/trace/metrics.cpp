@@ -1,26 +1,15 @@
 #include "harness/trace/metrics.hpp"
 
 #include <algorithm>
-#include <array>
-#include <charconv>
 #include <ostream>
 
 #include "harness/trace/trace.hpp"
 #include "util/contracts.hpp"
+#include "util/wire.hpp"
 
 namespace gb {
 
 namespace {
-
-/// Shortest round-trip double, the same convention the journal wire
-/// format uses: deterministic bytes, exact value.
-std::string format_double(double value) {
-    std::array<char, 32> buffer{};
-    const auto [ptr, ec] =
-        std::to_chars(buffer.data(), buffer.data() + buffer.size(), value);
-    GB_ENSURES(ec == std::errc{});
-    return std::string(buffer.data(), ptr);
-}
 
 std::uint32_t find_or_append(std::vector<std::string>& names,
                              std::string_view name) {
@@ -225,7 +214,7 @@ void write_metrics_json(std::ostream& out,
     for (std::size_t i = 0; i < snapshot.gauges.size(); ++i) {
         out << (i > 0 ? "," : "") << "\n    \""
             << json_escape(snapshot.gauges[i].first)
-            << "\": " << format_double(snapshot.gauges[i].second);
+            << "\": " << wire::format_double(snapshot.gauges[i].second);
     }
     out << (snapshot.gauges.empty() ? "" : "\n  ")
         << "},\n  \"histograms\": {";
@@ -278,7 +267,7 @@ void write_prometheus_text(std::ostream& out,
     for (const auto& [name, value] : snapshot.gauges) {
         const std::string exposed = prometheus_name(name);
         out << "# TYPE " << exposed << " gauge\n"
-            << exposed << ' ' << format_double(value) << '\n';
+            << exposed << ' ' << wire::format_double(value) << '\n';
     }
     for (const auto& [name, histogram] : snapshot.histograms) {
         const std::string exposed = prometheus_name(name);

@@ -65,30 +65,6 @@ std::vector<trace_span> tracer::ordered_spans() const {
     return merged;
 }
 
-std::string json_escape(std::string_view text) {
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                constexpr char hex[] = "0123456789abcdef";
-                out += "\\u00";
-                out += hex[(c >> 4) & 0xf];
-                out += hex[c & 0xf];
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 namespace {
 
 void write_args(std::ostream& out, const trace_span& span) {

@@ -34,6 +34,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/wire.hpp"
+
 namespace gb {
 
 #ifdef GB_TRACE_DISABLED
@@ -124,7 +126,7 @@ private:
 /// count for a deterministic producer.
 void write_chrome_trace(std::ostream& out, const tracer& trace);
 
-/// Minimal JSON string escaping (quotes, backslashes, control bytes).
-[[nodiscard]] std::string json_escape(std::string_view text);
+/// JSON string escaping for the trace and metrics writers (util/wire).
+using wire::json_escape;
 
 } // namespace gb

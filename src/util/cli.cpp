@@ -1,17 +1,15 @@
 #include "util/cli.hpp"
 
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+
+#include "util/wire.hpp"
 
 namespace gb {
 
 std::optional<long long> parse_integer(std::string_view text) {
     long long parsed = 0;
-    const auto [ptr, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), parsed);
-    if (ec != std::errc{} || ptr != text.data() + text.size()) {
+    if (!wire::parse_int(text, parsed)) {
         return std::nullopt;
     }
     return parsed;
@@ -19,10 +17,7 @@ std::optional<long long> parse_integer(std::string_view text) {
 
 std::optional<double> parse_number(std::string_view text) {
     double parsed = 0.0;
-    const auto [ptr, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), parsed);
-    if (ec != std::errc{} || ptr != text.data() + text.size() ||
-        !std::isfinite(parsed)) {
+    if (!wire::parse_real(text, parsed)) {
         return std::nullopt;
     }
     return parsed;

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <numbers>
 
+#include "util/wire.hpp"
+
 namespace gb {
 
 std::uint64_t splitmix64(std::uint64_t& state) {
@@ -14,12 +16,7 @@ std::uint64_t splitmix64(std::uint64_t& state) {
 
 std::uint64_t hash_label(std::string_view label) {
     // FNV-1a, then a splitmix finalizer for better avalanche.
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const char c : label) {
-        h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-        h *= 0x100000001b3ULL;
-    }
-    std::uint64_t s = h;
+    std::uint64_t s = wire::fnv1a(label);
     return splitmix64(s);
 }
 

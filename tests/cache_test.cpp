@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+
 #include "util/contracts.hpp"
 
 namespace gb {
@@ -100,10 +103,16 @@ TEST(cache_hierarchy_test, l1_victim_found_in_l2) {
 
 // The defining experiment: buffer size -> hierarchy level, the paper's
 // cache-virus construction rule.
+// gtest names each case by the raw bytes of its parameter, so the struct
+// carries explicit zero bytes where the compiler would otherwise leave
+// uninitialised padding; without them the case names changed from run to
+// run.
 struct chase_case {
     std::int64_t buffer_bytes;
     hit_level expected;
+    std::array<std::uint8_t, 7> zero_fill{};
 };
+static_assert(sizeof(chase_case) == 16, "chase_case must have no padding");
 
 class chase_level_test : public ::testing::TestWithParam<chase_case> {};
 

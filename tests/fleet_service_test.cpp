@@ -8,6 +8,7 @@
 #include "fleet/service.hpp"
 
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -332,6 +333,71 @@ TEST(FleetServiceTest, ProbeLineParserRejectsMalformedPayloads) {
     EXPECT_FALSE(parse_probe_line(
         "probe corner=TTT class=0 op=0 variant=0 sweep=0", key, sweep,
         content, result));
+}
+
+TEST(FleetServiceTest, ProbeLineParserRejectsNonFiniteReals) {
+    // Every real on the probe wire goes through the one finite-only
+    // parser: a hostile or corrupted journal cannot plant a NaN Vmin.
+    const std::string fields[] = {"req", "pnom", "ppt", "down"};
+    for (const std::string& field : fields) {
+        for (const std::string bad : {"nan", "inf", "1e400"}) {
+            std::string line =
+                "probe corner=TTT class=0 op=0 variant=0 sweep=0 "
+                "content=0000000000000001 req=900 pnom=30 ppt=24 bucket=0 "
+                "down=0";
+            const std::size_t at = line.find(" " + field + "=") + 1;
+            const std::size_t end = line.find(' ', at);
+            line.replace(at, (end == std::string::npos ? line.size() : end) -
+                                 at,
+                         field + "=" + bad);
+            cohort_key key;
+            std::int64_t sweep = 0;
+            std::uint64_t content = 0;
+            probe_result result;
+            probe_ledger ledger;
+            EXPECT_FALSE(parse_probe_line(line, key, sweep, content, result,
+                                          ledger))
+                << line;
+        }
+    }
+}
+
+TEST(FleetServiceTest, WarmRejectsANonFiniteRequirementMidJournal) {
+    const std::string journal_path = temp_path("fleet_nan.journal");
+    std::filesystem::remove(journal_path); // a previous run's corruption
+    {
+        fleet_service_config config;
+        config.journal_path = journal_path;
+        fleet_service service(mega_fleet(), config, fake_probe);
+        service.run_campaign(0);
+    }
+    std::vector<std::string> lines;
+    {
+        std::ifstream in(journal_path);
+        for (std::string line; std::getline(in, line);) {
+            lines.push_back(line);
+        }
+    }
+    ASSERT_GT(lines.size(), 10U);
+    std::string& victim = lines[9];
+    const std::size_t req = victim.find(" req=") + 5;
+    victim.replace(req, victim.find(' ', req) - req, "nan");
+    {
+        std::ofstream out(journal_path, std::ios::trunc);
+        for (const std::string& line : lines) {
+            out << line << '\n';
+        }
+    }
+    fleet_service_config config;
+    config.journal_path = journal_path;
+    try {
+        fleet_service restarted(mega_fleet(), config);
+        FAIL() << "warm accepted req=nan";
+    } catch (const fleet_journal_error& error) {
+        EXPECT_NE(std::string(error.what()).find(journal_path + ":10: "),
+                  std::string::npos)
+            << error.what();
+    }
 }
 
 // --- the observatory ----------------------------------------------------

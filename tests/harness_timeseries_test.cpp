@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "harness/report/json.hpp"
 #include "harness/timeseries/alerts.hpp"
 #include "harness/trace/metrics.hpp"
 
@@ -145,6 +146,8 @@ TEST(AlertRulesTest, ParseErrorsCarryPathAndLine) {
         {"watch x above 5", "expected 'alert'"},
         {"alert n s sideways 5", "unknown comparator 'sideways'"},
         {"alert n s above five", "'five' is not a number"},
+        {"alert a s above nan", "threshold 'nan' is not a number"},
+        {"alert a s below inf", "threshold 'inf' is not a number"},
         {"alert n s delta 5", "wants 'window <N>'"},
         {"alert n s slope 5 window 1", "integer >= 2"},
         {"alert n s above 5 extra", "trailing tokens"},
@@ -302,6 +305,35 @@ TEST(AlertEngineTest, ReplayRestoresFiringStateWithoutEvaluation) {
     EXPECT_EQ(from_live.str(), from_warm.str());
     EXPECT_NE(from_live.str().find("\"firing\": [\"hot:v\"]"),
               std::string::npos);
+}
+
+TEST(AlertEngineTest, TimelineJsonEscapesControlBytesInNames) {
+    // Series and rule names may carry any byte but a space; the artifact
+    // must still be JSON the repo's own reader accepts, and give the
+    // names back unchanged.
+    const std::string series = "vmin\tcore0";
+    const std::string rule = "hot\x01rule";
+    alert_engine engine(
+        {make_rule(rule, series, alert_rule::op_kind::above, 10.0)});
+    timeline_recorder recorder;
+    recorder.append(series, recorder.advance(), 12.0);
+    ASSERT_EQ(engine.evaluate(recorder.snapshot(), 1).size(), 1U);
+    std::ostringstream out;
+    write_timeline_json(out, recorder, &engine);
+
+    const report::json_parse_result parsed = report::parse_json(out.str());
+    ASSERT_TRUE(parsed.value.has_value()) << parsed.error;
+    const report::json_value* all_series = parsed.value->find("series");
+    ASSERT_NE(all_series, nullptr);
+    ASSERT_EQ(all_series->members.size(), 1U);
+    EXPECT_EQ(all_series->members[0].first, series);
+    const report::json_value* alerts = parsed.value->find("alerts");
+    ASSERT_NE(alerts, nullptr);
+    const report::json_value* events = alerts->find("events");
+    ASSERT_NE(events, nullptr);
+    ASSERT_EQ(events->items.size(), 1U);
+    EXPECT_EQ(events->items[0].find("rule")->as_string(), rule);
+    EXPECT_EQ(events->items[0].find("series")->as_string(), series);
 }
 
 // --- prometheus exposition ----------------------------------------------

@@ -66,7 +66,6 @@
 //
 // Exit codes: 0 success, 1 ack timeout (query --command), 2 usage error
 // or malformed input; --chaos kills exit with --chaos-exit.
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -165,11 +164,8 @@ std::optional<double> real_flag(int& argc, char** argv,
     if (!text) {
         return fallback;
     }
-    double value = 0.0;
-    const auto [end, ec] = std::from_chars(
-        text->data(), text->data() + text->size(), value);
-    if (ec != std::errc{} || end != text->data() + text->size() ||
-        value < min || value > max) {
+    const auto value = parse_number(*text);
+    if (!value || *value < min || *value > max) {
         std::cerr << "fleet_service: " << name << " wants a number in ["
                   << min << ", " << max << "]\n";
         return std::nullopt;

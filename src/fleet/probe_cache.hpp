@@ -41,14 +41,12 @@ public:
     [[nodiscard]] const probe_result* peek(std::uint64_t content) const;
 
     /// Insert or overwrite (re-probing the same content is idempotent by
-    /// construction, so overwrite == insert).
-    void insert(std::uint64_t content, const probe_result& result);
-
-    /// Insert with the rigs that vouched for the value (the configured
-    /// quorum's assigned rigs, sorted).  Provenance drives blacklist
+    /// construction, so overwrite == insert), with the rigs that vouched
+    /// for the value (the configured quorum's assigned rigs, sorted; empty
+    /// with the integrity defenses off).  Provenance drives blacklist
     /// repair: entries sourced only from blacklisted rigs re-execute.
     void insert(std::uint64_t content, const probe_result& result,
-                std::vector<std::uint32_t> rigs);
+                std::vector<std::uint32_t> rigs = {});
 
     /// The vouching rigs of an entry (empty when unknown / integrity off).
     [[nodiscard]] const std::vector<std::uint32_t>* provenance(
@@ -59,12 +57,8 @@ public:
     void repair(std::uint64_t content, const probe_result& result,
                 std::vector<std::uint32_t> rigs);
 
-    /// Count one outvoted dissent observed at admission time.
-    void record_dissent() { ++dissents_; }
-
     [[nodiscard]] std::uint64_t hits() const { return hits_; }
     [[nodiscard]] std::uint64_t misses() const { return misses_; }
-    [[nodiscard]] std::uint64_t dissents() const { return dissents_; }
     [[nodiscard]] std::uint64_t repaired() const { return repaired_; }
     [[nodiscard]] std::uint64_t size() const { return entries_.size(); }
 
@@ -76,7 +70,6 @@ private:
     std::map<std::uint64_t, entry> entries_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
-    std::uint64_t dissents_ = 0;
     std::uint64_t repaired_ = 0;
 };
 

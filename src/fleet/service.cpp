@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -66,6 +67,13 @@ bool same_result(const probe_result& a, const probe_result& b) {
     return a.requirement_mv == b.requirement_mv &&
            a.power_nominal_w == b.power_nominal_w &&
            a.power_point_w == b.power_point_w && a.bucket == b.bucket;
+}
+
+/// Majority vote over replica results (harness/integrity).
+quorum_tally tally_votes(const std::vector<probe_result>& votes) {
+    return vote(votes.size(), [&](std::size_t a, std::size_t b) {
+        return same_result(votes[a], votes[b]);
+    });
 }
 
 /// Fault-draw domain for replicas beyond the first, so redundant
@@ -133,6 +141,16 @@ std::string format_rigs(const std::vector<std::uint32_t>& rigs) {
     return text;
 }
 
+/// Defended wire: the vouching rigs, then the chain link LAST so it covers
+/// everything before it (including the provenance).  Advances `chain`.
+void append_defended_fields(std::string& line,
+                            const std::vector<std::uint32_t>& rigs,
+                            std::uint64_t& chain) {
+    line += " rigs=" + format_rigs(rigs);
+    chain = chain_next(chain, line);
+    line += " chain=" + format_chain(chain);
+}
+
 bool parse_rigs(std::string_view text, std::vector<std::uint32_t>& rigs) {
     rigs.clear();
     std::size_t pos = 0;
@@ -151,6 +169,16 @@ bool parse_rigs(std::string_view text, std::vector<std::uint32_t>& rigs) {
         pos = colon + 1;
     }
     return false;
+}
+
+/// A snapshot cohort object's identity fields, left open so the caller
+/// can append more before the closing brace.
+void write_cohort_fields(std::ostream& out, const cohort_state& cohort) {
+    out << "{\"corner\":\"" << to_string(cohort.key.corner)
+        << "\",\"class\":" << cohort.key.workload_class
+        << ",\"op\":" << cohort.key.operating_point
+        << ",\"variant\":" << cohort.key.variant
+        << ",\"members\":" << cohort.members;
 }
 
 } // namespace
@@ -232,7 +260,7 @@ fleet_service::fleet_service(fleet_spec spec, fleet_service_config config,
         state.members = count;
         cohorts_.push_back(state);
     }
-    cohort_last_content_.assign(cohorts_.size(), 0);
+    served_content_.assign(cohorts_.size(), 0);
     GB_EXPECTS(config_.integrity.quorum >= 1);
     effective_rigs_ = config_.integrity.rigs != 0
                           ? std::max<std::uint64_t>(
@@ -247,11 +275,16 @@ fleet_service::fleet_service(fleet_spec spec, fleet_service_config config,
     reputation.blacklist_threshold =
         std::max<std::uint64_t>(1, config_.integrity.blacklist_threshold);
     reputation_ = rig_reputation(reputation);
-    if (!config_.state_path.empty()) {
-        // A crash between the snapshot temp write and its rename leaves a
-        // stale `.tmp` sibling; it is dead bytes, never to be renamed.
-        std::error_code ec;
-        std::filesystem::remove(config_.state_path + ".tmp", ec);
+    // A crash between a temp write and its rename (snapshot, timeline, or
+    // a repair rewrite of the journal) leaves a stale `.tmp` sibling: dead
+    // bytes, never to be renamed.
+    for (const std::string* path : {&config_.state_path,
+                                    &config_.timeline_path,
+                                    &config_.journal_path}) {
+        if (!path->empty()) {
+            std::error_code ec;
+            std::filesystem::remove(*path + ".tmp", ec);
+        }
     }
     if (config_.timeline != nullptr) {
         // The engine exists even rule-free so the timeline artifact's
@@ -259,20 +292,9 @@ fleet_service::fleet_service(fleet_spec spec, fleet_service_config config,
         // warm so replayed `alert` records restore its firing state.
         alerts_ = std::make_unique<alert_engine>(config_.alerts);
     }
-    if (!config_.timeline_path.empty()) {
-        std::error_code ec;
-        std::filesystem::remove(config_.timeline_path + ".tmp", ec);
-    }
     if (!config_.journal_path.empty()) {
-        // A crash between a repair rewrite's temp and its rename leaves a
-        // stale `.tmp` sibling -- dead bytes, never to be renamed.
-        std::error_code ec;
-        std::filesystem::remove(config_.journal_path + ".tmp", ec);
         warm_cache_from_journal();
-        journal_ = std::make_unique<campaign_journal>(config_.journal_path);
-        if (config_.chaos != nullptr) {
-            journal_->set_chaos(config_.chaos);
-        }
+        open_journal();
     }
     if (config_.metrics != nullptr) {
         mh_.registered = true;
@@ -332,6 +354,13 @@ fleet_service::fleet_service(fleet_spec spec, fleet_service_config config,
         if (healed_bytes_ > 0) {
             config_.metrics->add(0, mh_.healed_bytes, healed_bytes_);
         }
+    }
+}
+
+void fleet_service::open_journal() {
+    journal_ = std::make_unique<campaign_journal>(config_.journal_path);
+    if (config_.chaos != nullptr) {
+        journal_->set_chaos(config_.chaos);
     }
 }
 
@@ -564,13 +593,11 @@ void fleet_service::warm_cache_from_journal() {
         prev_key = key;
         have_prev = true;
         ++journal_serial_;
+        cache_.insert(content, result, rigs);
         if (config_.integrity.enabled()) {
-            cache_.insert(content, result, rigs);
             journal_entries_.push_back(
                 {key, sweep_mv, content, result, ledger, std::move(rigs)});
             record_layout_.push_back({true, {}});
-        } else {
-            cache_.insert(content, result);
         }
         // Restored ledgers fold in journal order -- the exact order the
         // unfaulted run folds them at commit -- so the double-summed
@@ -580,28 +607,21 @@ void fleet_service::warm_cache_from_journal() {
     }
 }
 
-void fleet_service::append_probe_line(const cohort_key& key,
-                                      std::int64_t sweep_mv,
-                                      std::uint64_t content,
-                                      const probe_result& result,
-                                      const probe_ledger& ledger,
-                                      const std::vector<std::uint32_t>*
-                                          rigs) {
+void fleet_service::append_probe_line(journal_entry entry) {
     if (!journal_) {
         return;
     }
-    std::string line =
-        format_probe_payload(key, sweep_mv, content, result, ledger);
-    if (rigs != nullptr) {
-        // Defended wire: vouching rigs, then the chain link LAST so it
-        // covers everything before it (including the provenance).
-        line += " rigs=" + format_rigs(*rigs);
-        chain_ = chain_next(chain_, line);
-        line += " chain=" + format_chain(chain_);
+    std::string line = format_probe_payload(entry.key, entry.sweep_mv,
+                                            entry.content, entry.result,
+                                            entry.ledger);
+    const bool defended = config_.integrity.enabled();
+    if (defended) {
+        append_defended_fields(line, entry.rigs, chain_);
     }
     journal_->append(journal_serial_++, line);
-    if (config_.integrity.enabled()) {
+    if (defended) {
         record_layout_.push_back({true, {}});
+        journal_entries_.push_back(std::move(entry));
     }
 }
 
@@ -643,15 +663,15 @@ std::uint64_t fleet_service::sdc_escaped() const {
     return injected > sdc_detected_ ? injected - sdc_detected_ : 0;
 }
 
-probe_request fleet_service::request_for(const cohort_key& key,
+probe_request fleet_service::request_for(std::size_t cohort,
                                          std::int64_t sweep_mv,
                                          std::uint64_t content) const {
     probe_request request;
-    request.cohort = key;
+    request.cohort = cohorts_[cohort].key;
     request.sweep_mv = sweep_mv;
     request.content = content;
     request.seed = derive_task_seed(spec_.seed, content);
-    request.members = cohorts_[cohort_index(key)].members;
+    request.members = cohorts_[cohort].members;
     return request;
 }
 
@@ -672,7 +692,6 @@ probe_result fleet_service::execute_replica(const probe_request& request) {
 
 void fleet_service::charge_dissent(
     std::uint64_t rig, std::set<std::uint64_t>& newly_blacklisted) {
-    cache_.record_dissent();
     if (reputation_.record_dissent(rig)) {
         newly_blacklisted.insert(rig);
     }
@@ -708,10 +727,7 @@ bool fleet_service::arbitrate(const probe_request& request, int replicas,
     for (int r = 0; r < replicas; ++r) {
         votes.push_back(execute_replica(request));
     }
-    const quorum_tally tally =
-        vote(votes.size(), [&](std::size_t a, std::size_t b) {
-            return same_result(votes[a], votes[b]);
-        });
+    const quorum_tally tally = tally_votes(votes);
     if (!tally.decided) {
         ++quorum_stalemates_;
         return false;
@@ -723,114 +739,6 @@ bool fleet_service::arbitrate(const probe_request& request, int replicas,
     // bitwise-convergence contract.
     rigs = assigned_rigs(request.content);
     return true;
-}
-
-void fleet_service::audit_scheduled_hits(
-    std::int64_t sweep_mv,
-    const std::vector<std::pair<std::size_t, std::uint64_t>>& candidates,
-    std::set<std::uint64_t>& newly_blacklisted, bool& journal_dirty) {
-    const int quorum = std::max(1, config_.integrity.quorum);
-    for (const auto& [cohort_idx, content] : candidates) {
-        ++audits_;
-        const probe_result* cached = cache_.peek(content);
-        if (cached == nullptr) {
-            continue; // unreachable: an audited hit was just served
-        }
-        const cohort_state& cohort = cohorts_[cohort_idx];
-        const probe_request request =
-            request_for(cohort.key, sweep_mv, content);
-        const probe_result observed = execute_replica(request);
-        if (same_result(observed, *cached)) {
-            continue;
-        }
-        // The audit replica and the cache disagree; neither is trusted.
-        // Arbitrate with a fresh odd quorum on the standard assignment.
-        ++audit_mismatches_;
-        ++sdc_detected_;
-        probe_result truth;
-        std::vector<std::uint32_t> rigs;
-        const int arbiters = std::max(3, quorum | 1);
-        if (!arbitrate(request, arbiters, truth, rigs)) {
-            continue; // stalemate: leave the cache alone, counted above
-        }
-        if (!same_result(truth, *cached)) {
-            // The cache was poisoned: repair it, refresh the cohort, and
-            // charge every rig that vouched for the bad value.
-            ++sdc_corrected_;
-            std::vector<std::uint32_t> charged;
-            if (const auto* provenance = cache_.provenance(content)) {
-                charged = *provenance;
-            }
-            cache_.repair(content, truth, rigs);
-            if (cohort_last_content_[cohort_idx] == content) {
-                cohorts_[cohort_idx].last = truth;
-            }
-            for (const std::uint32_t rig : charged) {
-                charge_dissent(rig, newly_blacklisted);
-            }
-            for (journal_entry& entry : journal_entries_) {
-                if (entry.content == content) {
-                    entry.result = truth;
-                    entry.rigs = rigs;
-                    ++repaired_entries_;
-                    journal_dirty = true;
-                }
-            }
-        } else {
-            // The cache was right; the audit replica itself lied.
-            charge_dissent(rig_for(spec_.seed, content, quorum,
-                                   effective_rigs_),
-                           newly_blacklisted);
-        }
-    }
-}
-
-void fleet_service::repair_blacklisted_entries(
-    const std::set<std::uint64_t>& newly_blacklisted, bool& journal_dirty) {
-    if (newly_blacklisted.empty()) {
-        return;
-    }
-    const int quorum = std::max(1, config_.integrity.quorum);
-    for (journal_entry& entry : journal_entries_) {
-        if (entry.rigs.empty()) {
-            continue;
-        }
-        bool all_blacklisted = true;
-        for (const std::uint32_t rig : entry.rigs) {
-            if (!reputation_.blacklisted(rig)) {
-                all_blacklisted = false;
-                break;
-            }
-        }
-        if (!all_blacklisted) {
-            continue;
-        }
-        // Every voucher of this record is now blacklisted: nothing about
-        // it is trustworthy, so re-execute the full quorum and repair.
-        const probe_request request =
-            request_for(entry.key, entry.sweep_mv, entry.content);
-        probe_result truth;
-        std::vector<std::uint32_t> rigs;
-        if (!arbitrate(request, quorum, truth, rigs)) {
-            continue;
-        }
-        const bool value_changed = !same_result(truth, entry.result);
-        if (value_changed) {
-            ++sdc_detected_;
-            ++sdc_corrected_;
-        }
-        if (value_changed || rigs != entry.rigs) {
-            entry.result = truth;
-            entry.rigs = rigs;
-            ++repaired_entries_;
-            journal_dirty = true;
-            cache_.repair(entry.content, truth, rigs);
-            const std::size_t cohort_idx = cohort_index(entry.key);
-            if (cohort_last_content_[cohort_idx] == entry.content) {
-                cohorts_[cohort_idx].last = truth;
-            }
-        }
-    }
 }
 
 void fleet_service::rewrite_journal() {
@@ -856,9 +764,7 @@ void fleet_service::rewrite_journal() {
             line = format_probe_payload(entry.key, entry.sweep_mv,
                                         entry.content, entry.result,
                                         entry.ledger);
-            line += " rigs=" + format_rigs(entry.rigs);
-            chain = chain_next(chain, line);
-            line += " chain=" + format_chain(chain);
+            append_defended_fields(line, entry.rigs, chain);
         } else {
             line = ref.payload;
         }
@@ -870,303 +776,286 @@ void fleet_service::rewrite_journal() {
     }
     chain_ = chain;
     journal_serial_ = serial;
-    journal_ = std::make_unique<campaign_journal>(config_.journal_path);
-    if (config_.chaos != nullptr) {
-        journal_->set_chaos(config_.chaos);
-    }
+    open_journal();
+}
+
+campaign_status fleet_service::ledger_status() const {
+    campaign_status status;
+    status.campaign = config_.campaign;
+    status.retries = ledger_stats_.retries;
+    status.injected_faults = ledger_stats_.injected_faults();
+    status.aborted_rig = ledger_stats_.aborted_rig;
+    status.replayed = scheduled_hits_;
+    status.rig_downtime_ms = static_cast<std::uint64_t>(
+        std::llround(ledger_stats_.rig_downtime_s * 1000.0));
+    return status;
 }
 
 void fleet_service::publish_live(std::uint64_t pending) const {
     if (config_.state_path.empty()) {
         return;
     }
-    campaign_status live;
-    live.campaign = config_.campaign;
+    campaign_status live = ledger_status();
     live.running = true;
     live.tasks_total = pending;
-    live.tasks_done = 0;
-    live.retries = ledger_stats_.retries;
-    live.injected_faults = ledger_stats_.injected_faults();
-    live.aborted_rig = ledger_stats_.aborted_rig;
-    live.replayed = scheduled_hits_;
-    live.rig_downtime_ms = static_cast<std::uint64_t>(
-        std::llround(ledger_stats_.rig_downtime_s * 1000.0));
     live.workers = resolve_worker_count(config_.workers);
     live.worker_task.assign(static_cast<std::size_t>(live.workers), -1);
-    live.wall_elapsed_s = 0.0;
     publish_status(config_.state_path, live);
 }
 
-campaign_outcome fleet_service::run_campaign(std::int64_t sweep_mv) {
-    ++epoch_;
-    campaign_outcome outcome;
+// --- the campaign loop ---------------------------------------------------
 
-    // 1. Cache consultation, serial, in sorted cohort order -- the hit
-    // and miss counters are exact.
-    struct pending_probe {
-        std::size_t cohort = 0;
-        std::uint64_t content = 0;
-    };
-    std::vector<pending_probe> pending;
-    // Audit sample of this campaign's scheduled hits: every
-    // `audit_stride`-th one gets re-verified after commit.  Keyed by the
-    // crash-invariant scheduled-hit count, so a restarted daemon audits
-    // the same hits a never-crashed one does.
+struct fleet_service::probe_task {
+    std::size_t cohort = 0;
+    probe_request request;
+    probe_ledger ledger;
+    /// This round's replica results; replica r runs on rig_for(.., r).
+    std::vector<probe_result> replicas;
+    /// Per-replica silent corruption, drawn at plan time (empty: no plan).
+    std::vector<std::optional<sdc_corruption>> poison;
+    bool resolved = false;
+};
+
+struct fleet_service::campaign_run {
+    std::int64_t sweep_mv = 0;
+    campaign_outcome outcome;
+    std::vector<probe_task> pending; ///< cache misses, sorted cohort order
+    /// Scheduled hits sampled for audit, as (cohort, content).
     std::vector<std::pair<std::size_t, std::uint64_t>> audit_candidates;
-    const bool integrity_on = config_.integrity.enabled();
+    std::set<std::uint64_t> newly_blacklisted;
+    bool journal_dirty = false; ///< a repair touched a journaled entry
+};
+
+campaign_outcome fleet_service::run_campaign(std::int64_t sweep_mv) {
+    campaign_run run = plan_campaign(sweep_mv);
+    execute_pending(run);
+    admit_results(run);
+    audit_and_repair(run);
+    fan_out();
+    seal_epoch(run.outcome);
+    return run.outcome;
+}
+
+fleet_service::campaign_run fleet_service::plan_campaign(
+    std::int64_t sweep_mv) {
+    ++epoch_;
+    campaign_run run;
+    run.sweep_mv = sweep_mv;
+    const int quorum = std::max(1, config_.integrity.quorum);
+    // Cache consultation, serial, in sorted cohort order -- the hit and
+    // miss counters are exact.
     for (std::size_t c = 0; c < cohorts_.size(); ++c) {
-        cohort_state& cohort = cohorts_[c];
-        ++cohort.probes;
-        const std::uint64_t content = probe_content(cohort.key, sweep_mv);
+        ++cohorts_[c].probes;
+        const std::uint64_t content = probe_content(cohorts_[c].key, sweep_mv);
         if (const probe_result* cached = cache_.lookup(content)) {
-            cohort.last = *cached;
-            cohort.probed = true;
-            cohort.degraded = false;
-            cohort_last_content_[c] = content;
-            ++outcome.cache_hits;
+            serve(c, content, *cached);
+            ++run.outcome.cache_hits;
             // A hit on a content already requested this lifetime is a
             // *scheduled* hit -- the only hit notion identical before and
             // after a crash/restart.  A hit on journal-restored content
             // is lifetime-local and stays out of the snapshot counters.
+            // Every `audit_stride`-th scheduled hit is re-verified after
+            // admission, so a restarted daemon audits the same hits a
+            // never-crashed one does.
             if (requested_contents_.contains(content)) {
                 ++scheduled_hits_;
-                if (integrity_on && config_.integrity.audit_stride > 0 &&
+                if (config_.integrity.audit_stride > 0 &&
                     scheduled_hits_ % config_.integrity.audit_stride == 0) {
-                    audit_candidates.emplace_back(c, content);
+                    run.audit_candidates.emplace_back(c, content);
                 }
             } else {
                 requested_contents_.insert(content);
             }
-        } else {
-            pending.push_back({c, content});
+            continue;
+        }
+        probe_task& task = run.pending.emplace_back();
+        task.cohort = c;
+        task.request = request_for(c, sweep_mv, content);
+        // Corruption decisions are drawn HERE, serially in pending
+        // (sorted cohort) order, one opportunity per (probe, replica) --
+        // never inside engine workers -- so a corrupted campaign stays
+        // bitwise invariant under GB_JOBS and the shard count.  A decision
+        // persists across re-plan rounds: the Byzantine rig corrupts the
+        // replica whenever it finally resolves.
+        if (config_.integrity.sdc != nullptr) {
+            task.poison.resize(static_cast<std::size_t>(quorum));
+            for (auto& decision : task.poison) {
+                decision = config_.integrity.sdc->on_execution();
+            }
         }
     }
-    outcome.probes = cohorts_.size();
+    run.outcome.probes = cohorts_.size();
     probes_requested_ += cohorts_.size();
+    return run;
+}
 
-    // 2. Shard plan + engine runs, in bounded-retry rounds.  Sharding
-    // only batches the engine submissions; each probe's seed and fault
-    // draws come from its content id, so the results -- and everything
+void fleet_service::execute_pending(campaign_run& run) {
+    // Shard plan + engine runs, in bounded-retry rounds.  Sharding only
+    // batches the engine submissions; each probe's seed and fault draws
+    // come from its content id, so the results -- and everything
     // downstream -- are invariant under the shard count.  A probe that
     // exhausts its attempts in one round is deferred to the next with an
     // exponential backoff charge; after the last round it degrades its
     // cohort instead of failing the campaign.
+    std::vector<probe_task>& pending = run.pending;
+    if (pending.empty()) {
+        return;
+    }
+    GB_EXPECTS(static_cast<bool>(probe_));
+    publish_live(pending.size());
+    execution_options engine_options;
+    engine_options.workers = config_.workers;
+    engine_options.base_seed = spec_.seed;
+    engine_options.campaign = config_.campaign;
+    engine_options.trace = config_.trace;
+    engine_options.metrics = config_.metrics;
+    // No engine status_path: per-shard engine totals depend on the shard
+    // count, and the service's own snapshot must not.  No engine fault
+    // plan either -- rig faults are simulated inside the task body, keyed
+    // by content, for the same reason.
+    const execution_engine engine(engine_options);
     const int quorum = std::max(1, config_.integrity.quorum);
-    std::vector<probe_result> results(pending.size());
-    std::vector<std::vector<probe_result>> replicas(pending.size());
-    std::vector<probe_ledger> ledgers(pending.size());
-    std::vector<char> resolved(pending.size(), 0);
-    // Corruption decisions are drawn HERE, serially in pending (sorted
-    // cohort) order, one opportunity per (probe, replica) -- never inside
-    // engine workers -- so a corrupted campaign stays bitwise invariant
-    // under GB_JOBS and the shard count.  A decision persists across
-    // re-plan rounds: the Byzantine rig corrupts the replica whenever it
-    // finally resolves.
-    std::vector<std::optional<sdc_corruption>> poison;
-    if (config_.integrity.sdc != nullptr && !pending.empty()) {
-        poison.resize(pending.size() * static_cast<std::size_t>(quorum));
-        for (auto& decision : poison) {
-            decision = config_.integrity.sdc->on_execution();
-        }
-    }
-    if (!pending.empty()) {
-        GB_EXPECTS(static_cast<bool>(probe_));
-        publish_live(pending.size());
-        const int shards = std::max(1, config_.shards);
-        execution_options engine_options;
-        engine_options.workers = config_.workers;
-        engine_options.base_seed = spec_.seed;
-        engine_options.campaign = config_.campaign;
-        engine_options.trace = config_.trace;
-        engine_options.metrics = config_.metrics;
-        // No engine status_path: per-shard engine totals depend on the
-        // shard count, and the service's own snapshot must not.  No
-        // engine fault plan either -- rig faults are simulated inside
-        // the task body, keyed by content, for the same reason.
-        const execution_engine engine(engine_options);
-        const int attempts = std::max(1, config_.retry_budget + 1);
-        const int last_round = std::max(0, config_.replan_rounds);
+    const int shards = std::max(1, config_.shards);
+    const int last_round = std::max(0, config_.replan_rounds);
 
-        std::vector<std::size_t> open(pending.size());
-        std::iota(open.begin(), open.end(), std::size_t{0});
-        for (int round = 0; round <= last_round && !open.empty(); ++round) {
-            if (round > 0) {
-                // Deferred probes sit out an exponentially growing
-                // backoff, charged into their journaled downtime (virtual
-                // seconds; no real sleeping).
-                const double backoff = replan_backoff_s(
-                    config_.replan_backoff_base_s, round);
-                for (const std::size_t j : open) {
-                    ledgers[j].downtime_s += backoff;
-                }
-                if (round == 1) {
-                    outcome.replanned = open.size();
-                }
-                if (mh_.registered) {
-                    config_.metrics->add(0, mh_.replan_rounds, 1);
-                }
-            }
-            const schedule_result plan = list_schedule(
-                std::vector<std::uint64_t>(open.size(), probe_cost_ticks),
-                shards);
-            std::vector<std::vector<std::size_t>> batches(
-                static_cast<std::size_t>(plan.workers));
-            for (std::size_t k = 0; k < open.size(); ++k) {
-                batches[static_cast<std::size_t>(
-                            plan.assignment[k].worker)]
-                    .push_back(open[k]);
-            }
-            for (const std::vector<std::size_t>& batch : batches) {
-                if (batch.empty()) {
-                    continue;
-                }
-                double downtime_before = 0.0;
-                for (const std::size_t j : batch) {
-                    downtime_before += ledgers[j].downtime_s;
-                }
-                const std::size_t first = trace_index_base_;
-                const execution_stats stats = engine.run(
-                    batch.size(),
-                    [&](const task_context& context) {
-                        const std::size_t j = batch[context.index - first];
-                        const pending_probe& entry = pending[j];
-                        const cohort_state& cohort = cohorts_[entry.cohort];
-                        probe_request request;
-                        request.cohort = cohort.key;
-                        request.sweep_mv = sweep_mv;
-                        request.content = entry.content;
-                        request.seed =
-                            derive_task_seed(spec_.seed, entry.content);
-                        request.members = cohort.members;
-                        probe_ledger& ledger = ledgers[j];
-                        // Replica 0's fault draws are keyed exactly as a
-                        // quorum=1 plan's, so the defense-off schedule is
-                        // byte-identical; redundant replicas re-key into
-                        // their own fault streams.  A probe resolves only
-                        // when EVERY replica does -- one exhausted rig
-                        // defers the whole vote to the next round.
-                        replicas[j].assign(
-                            static_cast<std::size_t>(quorum), {});
-                        int bucket = -1;
-                        for (int r = 0; r < quorum; ++r) {
-                            const std::uint64_t round_key =
-                                replan_key(entry.content, round);
-                            const std::uint64_t fault_key =
-                                r == 0 ? round_key
-                                       : derive_task_seed(
-                                             round_key,
-                                             replica_fault_domain +
-                                                 static_cast<std::uint64_t>(
-                                                     r));
-                            bool replica_done = false;
-                            for (int attempt = 0; attempt < attempts;
-                                 ++attempt) {
-                                const rig_fault fault =
-                                    config_.faults == nullptr
-                                        ? rig_fault::none
-                                        : config_.faults->draw(fault_key,
-                                                               attempt);
-                                if (fault == rig_fault::none) {
-                                    probe_result value = probe_(request);
-                                    if (!poison.empty()) {
-                                        const auto& decision =
-                                            poison[j * static_cast<
-                                                           std::size_t>(
-                                                           quorum) +
-                                                   static_cast<std::size_t>(
-                                                       r)];
-                                        if (decision) {
-                                            value = apply_sdc(value,
-                                                              *decision);
-                                        }
-                                    }
-                                    replicas[j][static_cast<std::size_t>(
-                                        r)] = value;
-                                    if (r == 0) {
-                                        bucket = value.bucket;
-                                    }
-                                    replica_done = true;
-                                    break;
-                                }
-                                switch (fault) {
-                                case rig_fault::hang_until_watchdog:
-                                    ++ledger.watchdog_timeouts;
-                                    break;
-                                case rig_fault::board_crash:
-                                    ++ledger.board_crashes;
-                                    break;
-                                case rig_fault::power_switch_failure:
-                                    ++ledger.power_switch_failures;
-                                    break;
-                                case rig_fault::none:
-                                    break;
-                                }
-                                ledger.downtime_s +=
-                                    config_.faults->downtime_for(fault);
-                                if (attempt + 1 < attempts) {
-                                    ++ledger.retries;
-                                }
-                            }
-                            if (!replica_done) {
-                                ++ledger.exhausted_rounds;
-                                return -1;
-                            }
-                        }
-                        resolved[j] = 1;
-                        return bucket;
-                    },
-                    first);
-                trace_index_base_ += batch.size();
-                outcome.stats.merge(stats);
-                if (config_.shard_deadline_s > 0.0) {
-                    // Shard watchdog: virtual rig downtime this batch
-                    // accumulated beyond the deadline.  Observability
-                    // only -- batch composition depends on the shard
-                    // count, so this never reaches the snapshot.
-                    double downtime_after = 0.0;
-                    for (const std::size_t j : batch) {
-                        downtime_after += ledgers[j].downtime_s;
-                    }
-                    if (downtime_after - downtime_before >
-                        config_.shard_deadline_s) {
-                        ++shard_watchdog_trips_;
-                        if (mh_.registered) {
-                            config_.metrics->add(
-                                0, mh_.shard_watchdog_trips, 1);
-                        }
-                    }
-                }
-            }
-            std::vector<std::size_t> still_open;
+    std::vector<std::size_t> open(pending.size());
+    std::iota(open.begin(), open.end(), std::size_t{0});
+    for (int round = 0; round <= last_round && !open.empty(); ++round) {
+        if (round > 0) {
+            // Deferred probes sit out an exponentially growing backoff,
+            // charged into their journaled downtime (virtual seconds; no
+            // real sleeping).
+            const double backoff =
+                replan_backoff_s(config_.replan_backoff_base_s, round);
             for (const std::size_t j : open) {
-                if (resolved[j] == 0) {
-                    still_open.push_back(j);
+                pending[j].ledger.downtime_s += backoff;
+            }
+            if (round == 1) {
+                run.outcome.replanned = open.size();
+            }
+            if (mh_.registered) {
+                config_.metrics->add(0, mh_.replan_rounds, 1);
+            }
+        }
+        const schedule_result plan = list_schedule(
+            std::vector<std::uint64_t>(open.size(), probe_cost_ticks),
+            shards);
+        std::vector<std::vector<std::size_t>> batches(
+            static_cast<std::size_t>(plan.workers));
+        for (std::size_t k = 0; k < open.size(); ++k) {
+            batches[static_cast<std::size_t>(plan.assignment[k].worker)]
+                .push_back(open[k]);
+        }
+        for (const std::vector<std::size_t>& batch : batches) {
+            if (batch.empty()) {
+                continue;
+            }
+            const auto batch_downtime = [&] {
+                double downtime = 0.0;
+                for (const std::size_t j : batch) {
+                    downtime += pending[j].ledger.downtime_s;
+                }
+                return downtime;
+            };
+            const double downtime_before = batch_downtime();
+            const std::size_t first = trace_index_base_;
+            const execution_stats stats = engine.run(
+                batch.size(),
+                [&](const task_context& context) {
+                    probe_task& task = pending[batch[context.index - first]];
+                    // A probe resolves only when EVERY replica does -- one
+                    // exhausted rig defers the whole vote to the next
+                    // round.
+                    task.replicas.assign(static_cast<std::size_t>(quorum),
+                                         {});
+                    for (int r = 0; r < quorum; ++r) {
+                        if (!run_replica(task, round, r)) {
+                            ++task.ledger.exhausted_rounds;
+                            return -1;
+                        }
+                    }
+                    task.resolved = true;
+                    return task.replicas.front().bucket;
+                },
+                first);
+            trace_index_base_ += batch.size();
+            run.outcome.stats.merge(stats);
+            // Shard watchdog: virtual rig downtime this batch accumulated
+            // beyond the deadline.  Observability only -- batch
+            // composition depends on the shard count, so this never
+            // reaches the snapshot.
+            if (config_.shard_deadline_s > 0.0 &&
+                batch_downtime() - downtime_before >
+                    config_.shard_deadline_s) {
+                ++shard_watchdog_trips_;
+                if (mh_.registered) {
+                    config_.metrics->add(0, mh_.shard_watchdog_trips, 1);
                 }
             }
-            open = std::move(still_open);
+        }
+        std::erase_if(open, [&](std::size_t j) {
+            return pending[j].resolved;
+        });
+    }
+}
+
+bool fleet_service::run_replica(probe_task& task, int round,
+                                int replica) const {
+    // Replica 0's fault draws are keyed exactly as a quorum=1 plan's, so
+    // the defense-off schedule is byte-identical; redundant replicas
+    // re-key into their own fault streams.
+    const std::uint64_t round_key = replan_key(task.request.content, round);
+    const std::uint64_t fault_key =
+        replica == 0 ? round_key
+                     : derive_task_seed(round_key,
+                                        replica_fault_domain +
+                                            static_cast<std::uint64_t>(
+                                                replica));
+    const auto r = static_cast<std::size_t>(replica);
+    probe_ledger& ledger = task.ledger;
+    const int attempts = std::max(1, config_.retry_budget + 1);
+    for (int attempt = 0; attempt < attempts; ++attempt) {
+        const rig_fault fault = config_.faults == nullptr
+                                    ? rig_fault::none
+                                    : config_.faults->draw(fault_key, attempt);
+        switch (fault) {
+        case rig_fault::none:
+            task.replicas[r] = probe_(task.request);
+            if (!task.poison.empty() && task.poison[r]) {
+                task.replicas[r] = apply_sdc(task.replicas[r], *task.poison[r]);
+            }
+            return true;
+        case rig_fault::hang_until_watchdog:
+            ++ledger.watchdog_timeouts;
+            break;
+        case rig_fault::board_crash:
+            ++ledger.board_crashes;
+            break;
+        case rig_fault::power_switch_failure:
+            ++ledger.power_switch_failures;
+            break;
+        }
+        ledger.downtime_s += config_.faults->downtime_for(fault);
+        if (attempt + 1 < attempts) {
+            ++ledger.retries;
         }
     }
+    return false;
+}
 
-    // 3. Commit serially in sorted cohort order: cache inserts, the
+void fleet_service::admit_results(campaign_run& run) {
+    // Commit serially in sorted cohort order: cache inserts, the
     // deterministic probe journal, and quarantine for probes that never
-    // resolved.  Degraded probes are not cached and not journaled, so
-    // the next request for the same content retries them; their ledgers
-    // stay out of the snapshot stats (which lifetime ran them would
-    // otherwise leak into the fold order) but reach the outcome.
-    std::uint64_t executed = 0;
-    std::set<std::uint64_t> newly_blacklisted;
-    bool journal_dirty = false;
-    for (std::size_t j = 0; j < pending.size(); ++j) {
-        const pending_probe& entry = pending[j];
-        cohort_state& cohort = cohorts_[entry.cohort];
-        if (resolved[j] == 0) {
-            cohort.probed = false;
-            cohort.degraded = true;
-            ++outcome.degraded;
-            fold_ledger(outcome.stats, ledgers[j]);
+    // resolved.
+    const bool integrity_on = config_.integrity.enabled();
+    for (const probe_task& task : run.pending) {
+        if (!task.resolved) {
+            degrade(run, task);
             continue;
         }
-        std::vector<std::uint32_t> provenance_rigs;
+        const std::uint64_t content = task.request.content;
+        probe_result result = task.replicas.front();
+        std::vector<std::uint32_t> rigs;
         if (integrity_on) {
             // Majority-of-N admission.  Replica r executed on the
             // content-pure rig `rig_for(seed, content, r)`; the winning
@@ -1176,73 +1065,120 @@ campaign_outcome fleet_service::run_campaign(std::int64_t sweep_mv) {
             // multi-rig corruption) degrades the cohort conservatively --
             // with no majority, nobody can be blamed and nothing can be
             // admitted.
-            const std::vector<probe_result>& votes = replicas[j];
-            const quorum_tally tally =
-                vote(votes.size(), [&](std::size_t a, std::size_t b) {
-                    return same_result(votes[a], votes[b]);
-                });
-            replica_executions_ += votes.size();
+            const quorum_tally tally = tally_votes(task.replicas);
+            replica_executions_ += task.replicas.size();
             if (!tally.decided) {
                 ++quorum_stalemates_;
                 ++sdc_detected_;
-                cohort.probed = false;
-                cohort.degraded = true;
-                ++outcome.degraded;
-                fold_ledger(outcome.stats, ledgers[j]);
+                degrade(run, task);
                 continue;
             }
             for (const std::size_t d : tally.dissenters) {
                 ++sdc_outvoted_;
                 ++sdc_detected_;
-                charge_dissent(rig_for(spec_.seed, entry.content,
-                                       static_cast<int>(d),
-                                       effective_rigs_),
-                               newly_blacklisted);
+                charge_dissent(rig_for(spec_.seed, content,
+                                       static_cast<int>(d), effective_rigs_),
+                               run.newly_blacklisted);
             }
-            provenance_rigs = assigned_rigs(entry.content);
-            results[j] = votes[tally.winner];
-            cache_.insert(entry.content, results[j], provenance_rigs);
-        } else {
-            results[j] = replicas[j].front();
-            cache_.insert(entry.content, results[j]);
+            rigs = assigned_rigs(content);
+            result = task.replicas[tally.winner];
         }
-        requested_contents_.insert(entry.content);
-        cohort.last = results[j];
-        cohort.probed = true;
-        cohort.degraded = false;
-        cohort_last_content_[entry.cohort] = entry.content;
-        fold_ledger(ledger_stats_, ledgers[j]);
-        fold_ledger(outcome.stats, ledgers[j]);
-        append_probe_line(cohort.key, sweep_mv, entry.content, results[j],
-                          ledgers[j],
-                          integrity_on ? &provenance_rigs : nullptr);
-        if (integrity_on && journal_) {
-            journal_entries_.push_back({cohort.key, sweep_mv, entry.content,
-                                        results[j], ledgers[j],
-                                        provenance_rigs});
-        }
-        ++executed;
+        cache_.insert(content, result, rigs);
+        requested_contents_.insert(content);
+        serve(task.cohort, content, result);
+        fold_ledger(ledger_stats_, task.ledger);
+        fold_ledger(run.outcome.stats, task.ledger);
+        append_probe_line({task.request.cohort, run.sweep_mv, content, result,
+                           task.ledger, std::move(rigs)});
+        ++run.outcome.executed;
     }
-    outcome.executed = executed;
-    probes_executed_ += executed;
+}
 
-    // 3b. Integrity sweeps, still serial: re-verify the audit sample of
-    // this campaign's scheduled hits, then re-execute whatever a freshly
+void fleet_service::audit_and_repair(campaign_run& run) {
+    // Integrity sweeps, still serial: re-verify the audit sample of this
+    // campaign's scheduled hits, then re-execute whatever a freshly
     // blacklisted rig sole-sourced.  Both run before the node fan-out so
     // a repaired value reaches this campaign's bins and snapshot.
-    if (integrity_on) {
-        audit_scheduled_hits(sweep_mv, audit_candidates, newly_blacklisted,
-                             journal_dirty);
-        repair_blacklisted_entries(newly_blacklisted, journal_dirty);
-        if (journal_dirty) {
-            rewrite_journal();
+    if (!config_.integrity.enabled()) {
+        return;
+    }
+    const int quorum = std::max(1, config_.integrity.quorum);
+    for (const auto& [cohort, content] : run.audit_candidates) {
+        ++audits_;
+        const probe_result* cached = cache_.peek(content);
+        if (cached == nullptr) {
+            continue; // unreachable: an audited hit was just served
+        }
+        const probe_request request =
+            request_for(cohort, run.sweep_mv, content);
+        if (same_result(execute_replica(request), *cached)) {
+            continue;
+        }
+        // The audit replica and the cache disagree; neither is trusted.
+        // Arbitrate with a fresh odd quorum on the standard assignment.
+        ++audit_mismatches_;
+        ++sdc_detected_;
+        probe_result truth;
+        std::vector<std::uint32_t> rigs;
+        if (!arbitrate(request, std::max(3, quorum | 1), truth, rigs)) {
+            continue; // stalemate: leave the cache alone, counted above
+        }
+        if (same_result(truth, *cached)) {
+            // The cache was right; the audit replica itself lied.
+            charge_dissent(
+                rig_for(spec_.seed, content, quorum, effective_rigs_),
+                run.newly_blacklisted);
+            continue;
+        }
+        // The cache was poisoned: repair it, and charge every rig that
+        // vouched for the bad value.
+        ++sdc_corrected_;
+        const std::vector<std::uint32_t> charged =
+            *cache_.provenance(content);
+        repair_content(run, cohort, content, truth, rigs);
+        for (const std::uint32_t rig : charged) {
+            charge_dissent(rig, run.newly_blacklisted);
         }
     }
+    if (!run.newly_blacklisted.empty()) {
+        for (journal_entry& entry : journal_entries_) {
+            const auto blacklisted = [&](std::uint32_t rig) {
+                return reputation_.blacklisted(rig);
+            };
+            if (entry.rigs.empty() ||
+                !std::all_of(entry.rigs.begin(), entry.rigs.end(),
+                             blacklisted)) {
+                continue;
+            }
+            // Every voucher of this record is now blacklisted: nothing
+            // about it is trustworthy, so re-execute the full quorum.
+            const std::size_t cohort = cohort_index(entry.key);
+            probe_result truth;
+            std::vector<std::uint32_t> rigs;
+            if (!arbitrate(request_for(cohort, entry.sweep_mv, entry.content),
+                           quorum, truth, rigs)) {
+                continue;
+            }
+            const bool value_changed = !same_result(truth, entry.result);
+            if (value_changed) {
+                ++sdc_detected_;
+                ++sdc_corrected_;
+            }
+            if (value_changed || rigs != entry.rigs) {
+                repair_content(run, cohort, entry.content, truth, rigs);
+            }
+        }
+    }
+    if (run.journal_dirty) {
+        rewrite_journal();
+    }
+}
 
-    // 4. Fan cohort results out to the whole fleet in node-id order (a
-    // fixed floating-point accumulation order, like every other sum).
-    // Degraded cohorts serve the conservative answer: their nodes bin at
-    // the nominal cap -- no exploitation without characterization -- and
+void fleet_service::fan_out() {
+    // Fan cohort results out to the whole fleet in node-id order (a fixed
+    // floating-point accumulation order, like every other sum).  Degraded
+    // cohorts serve the conservative answer: their nodes bin at the
+    // nominal cap -- no exploitation without characterization -- and
     // contribute no measured power.
     bins_.clear();
     double nominal_w = 0.0;
@@ -1261,31 +1197,23 @@ campaign_outcome fleet_service::run_campaign(std::int64_t sweep_mv) {
             }
             continue;
         }
-        // Synthetic aging widens the *served* requirement only -- the
-        // cached/journaled characterization stays drift-free, so the
-        // timeline's drift-slope rules watch the same signal the binning
-        // serves.  (Guarded so the default 0 keeps bins bit-identical.)
-        double served_mv = cohort.last.requirement_mv;
-        if (config_.aging_mv_per_epoch != 0.0) {
-            served_mv += config_.aging_mv_per_epoch *
-                         static_cast<double>(epoch_ - 1);
-        }
-        const double requirement = served_mv + node_jitter_mv(spec_, node);
-        const double bin = bin_voltage_mv(spec_, requirement);
+        const double bin = bin_voltage_mv(
+            spec_, served_vmin_mv(cohort) + node_jitter_mv(spec_, node));
         ++bins_[std::llround(bin)];
         nominal_w += cohort.last.power_nominal_w;
         binned_w += cohort.last.power_point_w;
         if (mh_.registered) {
             config_.metrics->observe(
-                0, mh_.bin_mv,
-                static_cast<std::uint64_t>(std::llround(bin)));
+                0, mh_.bin_mv, static_cast<std::uint64_t>(std::llround(bin)));
         }
     }
     power_nominal_w_ = nominal_w;
     power_binned_w_ = binned_w;
+}
 
+void fleet_service::seal_epoch(const campaign_outcome& outcome) {
     if (mh_.registered) {
-        config_.metrics->add(0, mh_.nodes, nodes);
+        config_.metrics->add(0, mh_.nodes, spec_.node_count());
         config_.metrics->add(0, mh_.probes_executed, outcome.executed);
         config_.metrics->add(0, mh_.cache_hits, outcome.cache_hits);
         config_.metrics->set(0, mh_.power_nominal_w, epoch_,
@@ -1318,7 +1246,58 @@ campaign_outcome fleet_service::run_campaign(std::int64_t sweep_mv) {
         observe_epoch();
     }
     publish_state();
-    return outcome;
+}
+
+void fleet_service::serve(std::size_t cohort, std::uint64_t content,
+                          const probe_result& result) {
+    cohort_state& state = cohorts_[cohort];
+    state.last = result;
+    state.probed = true;
+    state.degraded = false;
+    served_content_[cohort] = content;
+}
+
+void fleet_service::degrade(campaign_run& run, const probe_task& task) {
+    // Degraded probes are not cached and not journaled, so the next
+    // request for the same content retries them; their ledgers stay out
+    // of the snapshot stats (which lifetime ran them would otherwise leak
+    // into the fold order) but reach the outcome.
+    cohort_state& state = cohorts_[task.cohort];
+    state.probed = false;
+    state.degraded = true;
+    served_content_[task.cohort] = 0;
+    ++run.outcome.degraded;
+    fold_ledger(run.outcome.stats, task.ledger);
+}
+
+void fleet_service::repair_content(campaign_run& run, std::size_t cohort,
+                                   std::uint64_t content,
+                                   const probe_result& truth,
+                                   const std::vector<std::uint32_t>& rigs) {
+    cache_.repair(content, truth, rigs);
+    if (served_content_[cohort] == content) {
+        serve(cohort, content, truth);
+    }
+    for (journal_entry& entry : journal_entries_) {
+        if (entry.content == content) {
+            entry.result = truth;
+            entry.rigs = rigs;
+            ++repaired_entries_;
+            run.journal_dirty = true;
+        }
+    }
+}
+
+double fleet_service::served_vmin_mv(const cohort_state& cohort) const {
+    // Synthetic aging widens the *served* requirement only -- the
+    // cached/journaled characterization stays drift-free, so the
+    // timeline's drift-slope rules watch the same signal the binning
+    // serves.  (Guarded so the default 0 keeps every byte bit-identical.)
+    double vmin = cohort.last.requirement_mv;
+    if (config_.aging_mv_per_epoch != 0.0) {
+        vmin += config_.aging_mv_per_epoch * static_cast<double>(epoch_ - 1);
+    }
+    return vmin;
 }
 
 std::vector<std::pair<std::string, double>>
@@ -1334,17 +1313,12 @@ fleet_service::observatory_samples() const {
         if (!cohort.probed) {
             continue;
         }
-        double vmin = cohort.last.requirement_mv;
-        if (config_.aging_mv_per_epoch != 0.0) {
-            vmin += config_.aging_mv_per_epoch *
-                    static_cast<double>(epoch_ - 1);
-        }
         std::string series = "vmin.";
         series += to_string(cohort.key.corner);
         series += '.' + std::to_string(cohort.key.workload_class);
         series += '.' + std::to_string(cohort.key.operating_point);
         series += '.' + std::to_string(cohort.key.variant);
-        samples.emplace_back(std::move(series), vmin);
+        samples.emplace_back(std::move(series), served_vmin_mv(cohort));
     }
     samples.emplace_back("fleet.cache_hit_rate",
                          probes_requested_ > 0
@@ -1419,17 +1393,9 @@ std::string fleet_service::state_snapshot() const {
     // an unfaulted one's (the recovery_check invariant).  Lifetime-local
     // facts -- journal restores, healed bytes, physical cache hits --
     // live in the metrics registry and accessors instead.
-    campaign_status status;
-    status.campaign = config_.campaign;
-    status.running = false;
+    campaign_status status = ledger_status();
     status.tasks_total = probes_requested_;
     status.tasks_done = probes_requested_;
-    status.retries = ledger_stats_.retries;
-    status.injected_faults = ledger_stats_.injected_faults();
-    status.aborted_rig = ledger_stats_.aborted_rig;
-    status.replayed = scheduled_hits_;
-    status.rig_downtime_ms = static_cast<std::uint64_t>(
-        std::llround(ledger_stats_.rig_downtime_s * 1000.0));
     std::string line = write_status_json(status);
     const std::size_t close = line.find_last_of('}');
     GB_ENSURES(close != std::string::npos);
@@ -1472,12 +1438,9 @@ std::string fleet_service::state_snapshot() const {
         if (!cohort.degraded || listed == max_detail) {
             continue;
         }
-        fleet << (listed == 0 ? "" : ",") << "{\"corner\":\""
-              << to_string(cohort.key.corner)
-              << "\",\"class\":" << cohort.key.workload_class
-              << ",\"op\":" << cohort.key.operating_point
-              << ",\"variant\":" << cohort.key.variant
-              << ",\"members\":" << cohort.members << '}';
+        fleet << (listed == 0 ? "" : ",");
+        write_cohort_fields(fleet, cohort);
+        fleet << '}';
         ++listed;
     }
     fleet << "]}";
@@ -1487,13 +1450,9 @@ std::string fleet_service::state_snapshot() const {
     const std::size_t detail = std::min(cohorts_.size(), max_detail);
     for (std::size_t c = 0; c < detail; ++c) {
         const cohort_state& cohort = cohorts_[c];
-        fleet << (c == 0 ? "" : ",") << "{\"corner\":\""
-              << to_string(cohort.key.corner) << "\",\"class\":"
-              << cohort.key.workload_class
-              << ",\"op\":" << cohort.key.operating_point
-              << ",\"variant\":" << cohort.key.variant
-              << ",\"members\":" << cohort.members
-              << ",\"probes\":" << cohort.probes << ",\"req_mv\":"
+        fleet << (c == 0 ? "" : ",");
+        write_cohort_fields(fleet, cohort);
+        fleet << ",\"probes\":" << cohort.probes << ",\"req_mv\":"
               << wire::format_double(cohort.probed ? cohort.last.requirement_mv
                                              : 0.0)
               << ",\"bucket\":" << (cohort.probed ? cohort.last.bucket : -1)
@@ -1511,7 +1470,8 @@ std::string fleet_service::state_snapshot() const {
               << ",\"rules\":" << alerts_->rules().size() << ",\"firing\":[";
         bool first_label = true;
         for (const std::string& label : alerts_->firing()) {
-            fleet << (first_label ? "" : ",") << '"' << label << '"';
+            fleet << (first_label ? "" : ",") << '"'
+                  << wire::json_escape(label) << '"';
             first_label = false;
         }
         fleet << "],\"events\":" << alerts_->events().size() << '}';

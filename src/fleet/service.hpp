@@ -69,6 +69,7 @@
 #include "harness/timeseries/alerts.hpp"
 
 namespace gb {
+struct campaign_status;
 class tracer;
 class metrics_registry;
 class sdc_plan;
@@ -371,8 +372,52 @@ private:
         std::vector<std::uint32_t> rigs;
     };
 
+    /// One cache-missing probe's state from plan to admission, and one
+    /// campaign's state threaded through the stages (service.cpp).
+    struct probe_task;
+    struct campaign_run;
+
+    // --- run_campaign's stages, in call order ---------------------------
+    /// Serial cache lookup in sorted cohort order: serves the hits, picks
+    /// the audit sample, and plans the misses (drawing their silent
+    /// corruptions).
+    [[nodiscard]] campaign_run plan_campaign(std::int64_t sweep_mv);
+    /// Bounded-retry re-plan rounds of shard batches through the engine.
+    void execute_pending(campaign_run& run);
+    /// Vote, degrade, cache insert and journal append, serially in sorted
+    /// cohort order.
+    void admit_results(campaign_run& run);
+    /// Re-verify the audit sample, re-execute what newly blacklisted rigs
+    /// sole-sourced, and rewrite the journal if anything was repaired.
+    void audit_and_repair(campaign_run& run);
+    /// Bin every node (node-id order) and account fleet power.
+    void fan_out();
+    /// Metrics, the observatory block, and the state snapshot.
+    void seal_epoch(const campaign_outcome& outcome);
+
+    /// Replica `replica` of `task` in re-plan round `round`: up to
+    /// `retry_budget + 1` fault-drawn attempts charged to the task's
+    /// ledger.  False when every attempt faulted.  Runs on engine workers.
+    [[nodiscard]] bool run_replica(probe_task& task, int round,
+                                   int replica) const;
+    /// Make cohort `cohort` serve `result`, the outcome of probe `content`.
+    void serve(std::size_t cohort, std::uint64_t content,
+               const probe_result& result);
+    /// Quarantine the task's cohort for this campaign.
+    void degrade(campaign_run& run, const probe_task& task);
+    /// Overwrite every copy of a poisoned probe with its arbitrated truth:
+    /// the cache entry, the cohort serving it, and its journal entries.
+    void repair_content(campaign_run& run, std::size_t cohort,
+                        std::uint64_t content, const probe_result& truth,
+                        const std::vector<std::uint32_t>& rigs);
+    /// The cohort's served requirement this epoch: its characterized Vmin
+    /// plus the synthetic aging drift.
+    [[nodiscard]] double served_vmin_mv(const cohort_state& cohort) const;
+
     [[nodiscard]] std::size_t cohort_index(const cohort_key& key) const;
     void warm_cache_from_journal();
+    /// (Re)open the append handle on the journal path, chaos armed.
+    void open_journal();
     /// End-of-campaign observatory block: append the epoch's fixed-order
     /// sample list to the recorder and the journal (skipping whatever a
     /// previous lifetime already journaled), evaluate the alert rules,
@@ -388,14 +433,13 @@ private:
     /// applied), then the fleet scalars.
     [[nodiscard]] std::vector<std::pair<std::string, double>>
     observatory_samples() const;
-    void append_probe_line(const cohort_key& key, std::int64_t sweep_mv,
-                           std::uint64_t content, const probe_result& result,
-                           const probe_ledger& ledger,
-                           const std::vector<std::uint32_t>* rigs);
+    /// Journal one admitted probe; with the defenses on the record also
+    /// carries its rigs and chain link and is retained for repair.
+    void append_probe_line(journal_entry entry);
     /// Execute one replica serially (audit / arbitration / repair),
     /// drawing one SDC opportunity.
     [[nodiscard]] probe_result execute_replica(const probe_request& request);
-    [[nodiscard]] probe_request request_for(const cohort_key& key,
+    [[nodiscard]] probe_request request_for(std::size_t cohort,
                                             std::int64_t sweep_mv,
                                             std::uint64_t content) const;
     /// Arbitrate `content` with a fresh quorum on the standard rig
@@ -410,19 +454,15 @@ private:
     /// uniqued) -- the provenance every admission and repair records.
     [[nodiscard]] std::vector<std::uint32_t> assigned_rigs(
         std::uint64_t content) const;
-    void audit_scheduled_hits(
-        std::int64_t sweep_mv,
-        const std::vector<std::pair<std::size_t, std::uint64_t>>& candidates,
-        std::set<std::uint64_t>& newly_blacklisted, bool& journal_dirty);
-    void repair_blacklisted_entries(
-        const std::set<std::uint64_t>& newly_blacklisted,
-        bool& journal_dirty);
     /// Rewrite the whole journal from `journal_entries_` with a
     /// recomputed hash chain (temp + rename; no chaos seams -- repair is
     /// not a persistence seam the recovery checker arms).
     void rewrite_journal();
     void charge_dissent(std::uint64_t rig,
                         std::set<std::uint64_t>& newly_blacklisted);
+    /// The status fields both snapshots share: the campaign name and the
+    /// crash-invariant fault ledger (final, `running: false`).
+    [[nodiscard]] campaign_status ledger_status() const;
     /// Live (`running: true`) snapshot while a campaign's probes are in
     /// flight; scheduling-dependent by nature, like engine heartbeats.
     void publish_live(std::uint64_t pending) const;
@@ -443,7 +483,6 @@ private:
 
     std::uint64_t epoch_ = 0;
     std::uint64_t probes_requested_ = 0; ///< lifetime cohort probes
-    std::uint64_t probes_executed_ = 0;  ///< lifetime engine-run probes
     std::size_t trace_index_base_ = 0;   ///< unique task indices across runs
     /// Contents resolved for a request made *this lifetime* -- a repeat
     /// request is a "scheduled hit", the only cache-hit notion that is
@@ -463,9 +502,9 @@ private:
     rig_reputation reputation_;
     std::uint64_t chain_ = chain_basis; ///< running journal chain hash
     std::vector<journal_entry> journal_entries_; ///< integrity on only
-    /// Content of each cohort's most recent resolved probe, so repair can
-    /// refresh `cohorts_[i].last` when its backing entry is rewritten.
-    std::vector<std::uint64_t> cohort_last_content_;
+    /// Content of the probe each cohort serves (0 while unprobed or
+    /// degraded), so repair can re-serve it when that entry is rewritten.
+    std::vector<std::uint64_t> served_content_;
     std::uint64_t sdc_detected_ = 0;
     std::uint64_t sdc_outvoted_ = 0;
     std::uint64_t sdc_corrected_ = 0;

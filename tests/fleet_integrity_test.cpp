@@ -24,6 +24,8 @@
 #include "fleet/service.hpp"
 #include "harness/fault_injection.hpp"
 #include "harness/integrity/integrity.hpp"
+#include "harness/timeseries/alerts.hpp"
+#include "harness/timeseries/timeseries.hpp"
 
 namespace gb::fleet {
 namespace {
@@ -75,6 +77,7 @@ fleet_spec small_fleet() {
 struct run_result {
     std::string journal;
     std::string snapshot;
+    std::string timeline; ///< empty unless run_options::timeline
     std::uint64_t injected = 0;
     std::uint64_t detected = 0;
     std::uint64_t outvoted = 0;
@@ -86,7 +89,7 @@ struct run_result {
     std::uint64_t stalemates = 0;
     std::uint64_t blacklisted = 0;
     std::uint64_t cache_hits = 0;
-    std::uint64_t cache_dissents = 0;
+    std::uint64_t dissents = 0;
     std::uint64_t cache_repaired = 0;
 };
 
@@ -99,6 +102,9 @@ struct run_options {
     int shards = 1;
     int workers = 1;
     bool fresh_journal = true;
+    /// Observatory on: a timeline recorder plus one threshold rule, so the
+    /// journal also carries tline/alert/tseal records.
+    bool timeline = false;
 };
 
 run_result run_service(const std::string& journal_path,
@@ -124,6 +130,15 @@ run_result run_service(const std::string& journal_path,
     config.integrity.sdc = sdc ? &*sdc : nullptr;
     config.integrity.audit_stride = options.audit_stride;
     config.integrity.blacklist_threshold = options.blacklist_threshold;
+    timeline_recorder recorder;
+    if (options.timeline) {
+        std::string error;
+        const auto rules =
+            parse_alert_rules("alert hot vmin.* above 900\n", "rules", error);
+        EXPECT_TRUE(rules.has_value()) << error;
+        config.timeline = &recorder;
+        config.alerts = rules.value_or(std::vector<alert_rule>{});
+    }
     fleet_service service(spec, config, fake_probe);
     for (const std::int64_t sweep : options.sweeps) {
         (void)service.run_campaign(sweep);
@@ -131,6 +146,7 @@ run_result run_service(const std::string& journal_path,
     run_result result;
     result.journal = slurp(journal_path);
     result.snapshot = service.state_snapshot();
+    result.timeline = service.timeline_snapshot();
     result.injected = service.sdc_injected();
     result.detected = service.sdc_detected();
     result.outvoted = service.sdc_outvoted();
@@ -142,7 +158,7 @@ run_result run_service(const std::string& journal_path,
     result.stalemates = service.quorum_stalemates();
     result.blacklisted = service.reputation().blacklisted_count();
     result.cache_hits = service.cache().hits();
-    result.cache_dissents = service.cache().dissents();
+    result.dissents = service.reputation().dissents();
     result.cache_repaired = service.cache().repaired();
     return result;
 }
@@ -170,8 +186,6 @@ TEST(ProbeCacheTest, CountersAreExactAndProvenanceRoundTrips) {
     EXPECT_TRUE(cache.provenance(7)->empty());
     EXPECT_EQ(cache.provenance(999), nullptr);
 
-    cache.record_dissent();
-    EXPECT_EQ(cache.dissents(), 1u);
     probe_result truth = value;
     truth.requirement_mv = 901.0;
     cache.repair(42, truth, {6});
@@ -260,7 +274,7 @@ TEST(FleetIntegrityTest, AuditCatchesAndRepairsAPoisonedCacheBitwise) {
     EXPECT_EQ(attacked.escaped, 0u);
     EXPECT_GE(attacked.repaired, 1u);
     EXPECT_EQ(attacked.cache_repaired, 1u);
-    EXPECT_EQ(attacked.cache_dissents, 1u);
+    EXPECT_EQ(attacked.dissents, 1u);
     EXPECT_EQ(attacked.journal, clean.journal);
     EXPECT_EQ(attacked.snapshot, clean.snapshot);
 }
@@ -447,9 +461,61 @@ TEST(FleetIntegrityTest, CountersAndBytesConvergeAcrossRestartWarm) {
     replay.fresh_journal = false; // warm over the repaired journal
     const run_result warmed = run_service(journal_path, replay);
     EXPECT_EQ(warmed.cache_hits, 72u); // both sweeps served from warm
-    EXPECT_EQ(warmed.cache_dissents, 0u);
+    EXPECT_EQ(warmed.dissents, 0u);
     EXPECT_EQ(warmed.audit_mismatches, 0u);
     EXPECT_EQ(warmed.journal, first.journal);
+    EXPECT_EQ(warmed.snapshot, first.snapshot);
+}
+
+TEST(FleetIntegrityTest, RepairRewriteKeepsObservatoryRecordsInPlace) {
+    // Two agreeing corruptions outvote the honest replica and poison the
+    // cache; the audit of the repeated sweep catches it, and the repair
+    // rewrites a journal that already holds tline/alert/tseal records.
+    // The rewrite re-chains the probe records around them, and a restart
+    // replays the result to the same bytes.
+    const std::string journal_path =
+        temp_path("integrity_observatory.journal");
+    run_options attack;
+    attack.sweeps = {0, -5, 0, -5};
+    attack.quorum = 3;
+    attack.audit_stride = 1;
+    attack.sdc_spec = "vmin_flip@1/5,vmin_flip@2/5";
+    attack.timeline = true;
+    const run_result first = run_service(journal_path, attack);
+    EXPECT_EQ(first.injected, 2u);
+    EXPECT_EQ(first.outvoted, 1u);
+    EXPECT_EQ(first.corrected, 1u);
+    EXPECT_EQ(first.escaped, 0u);
+    EXPECT_EQ(first.repaired, 1u);
+    EXPECT_EQ(first.blacklisted, 1u);
+    ASSERT_NE(first.journal.find(" alert "), std::string::npos);
+
+    // Serials stay 0, 1, 2, ... and each epoch is sealed exactly once, in
+    // epoch order.
+    const std::vector<std::string> lines = split_lines(first.journal);
+    std::size_t next_seal = 1;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        const std::string prefix = "task=" + std::to_string(i) + " ";
+        ASSERT_EQ(lines[i].rfind(prefix, 0), 0u) << lines[i];
+        const std::string payload = lines[i].substr(prefix.size());
+        if (payload.rfind("tseal ", 0) == 0) {
+            EXPECT_EQ(payload.rfind("tseal epoch=" +
+                                        std::to_string(next_seal) + " ",
+                                    0),
+                      0u)
+                << lines[i];
+            ++next_seal;
+        }
+    }
+    EXPECT_EQ(next_seal, attack.sweeps.size() + 1);
+
+    run_options replay = attack;
+    replay.sdc_spec = nullptr;
+    replay.fresh_journal = false; // warm over the rewritten journal
+    const run_result warmed = run_service(journal_path, replay);
+    EXPECT_EQ(warmed.audit_mismatches, 0u);
+    EXPECT_EQ(warmed.journal, first.journal);
+    EXPECT_EQ(warmed.timeline, first.timeline);
     EXPECT_EQ(warmed.snapshot, first.snapshot);
 }
 

@@ -541,6 +541,31 @@ TEST(FleetObservatoryTest, DisabledObservatoryKeepsLegacyBytes) {
     EXPECT_TRUE(service.timeline_snapshot().empty());
 }
 
+TEST(FleetObservatoryTest, SnapshotEscapesAlertLabels) {
+    // Rule names are free-form tokens, so a firing label can carry a
+    // quote or a backslash; the snapshot must escape it like timeline.json
+    // does, or the endpoint stops being JSON.
+    std::string error;
+    const auto rules = parse_alert_rules("alert hot\"x\\y vmin.* above 0\n",
+                                         "escape_rules", error);
+    ASSERT_TRUE(rules.has_value()) << error;
+    timeline_recorder recorder;
+    fleet_service_config config;
+    config.timeline = &recorder;
+    config.alerts = *rules;
+    fleet_spec spec;
+    spec.nodes = 2000;
+    fleet_service service(spec, config, fake_probe);
+    service.run_campaign(0);
+    const std::vector<std::string> firing = service.alert_state()->firing();
+    ASSERT_EQ(firing.size(), 36U);
+    EXPECT_EQ(firing.front().rfind("hot\"x\\y:vmin.", 0), 0U)
+        << firing.front();
+    const auto status = report::load_status(service.state_snapshot(), error);
+    ASSERT_TRUE(status.has_value()) << error;
+    EXPECT_EQ(status->timeline_firing, firing);
+}
+
 // --- explicit-node fleets -----------------------------------------------
 
 TEST(FleetServiceTest, ExplicitVariantsNeverShareAProbe) {

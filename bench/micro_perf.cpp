@@ -10,8 +10,8 @@
 // GB_UPDATE_BASELINE) the binary skips google-benchmark and runs a fixed
 // reporter suite instead, emitting BENCH_micro_kernels.json for the CI perf
 // gate: old-vs-new wall medians per kernel, a batched-evaluation width
-// sweep, and a content hash over the kernels' outputs that doubles as an
-// equivalence check.
+// sweep, cold- and warm-memo chip analysis, and a content hash over the
+// kernels' outputs that doubles as an equivalence check.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -453,6 +453,43 @@ int run_baseline_suite(bench::baseline_reporter& baseline) {
             }
         });
     }
+
+    // Whole-chip analysis of 8 distinct SPEC loops.  A fresh chip convolves
+    // all 9 traces; a warm chip serves the 8 core-local droops from its
+    // memo and convolves only the chip-global one.
+    std::vector<execution_profile> loops;
+    for (const cpu_benchmark& benchmark : spec2006_suite()) {
+        if (loops.size() == static_cast<std::size_t>(cores_per_chip)) {
+            break;
+        }
+        loops.push_back(pipeline.execute(benchmark.loop, 8192));
+    }
+    std::vector<core_assignment> octet;
+    for (int c = 0; c < cores_per_chip; ++c) {
+        octet.push_back({c, &loops[static_cast<std::size_t>(c)],
+                         nominal_core_frequency});
+    }
+    const chip_model warm(make_ttt_chip(), make_xgene2_pdn());
+    const vmin_analysis cold_analysis = warm.analyze(octet, 7);
+    const vmin_analysis warm_analysis = warm.analyze(octet, 7);
+    const auto bits = [](millivolts v) {
+        return std::bit_cast<std::uint64_t>(v.value);
+    };
+    baseline.counter(
+        "equiv.chip_analyze_memo",
+        bits(warm_analysis.vmin) == bits(cold_analysis.vmin) &&
+            bits(warm_analysis.droop) == bits(cold_analysis.droop) &&
+            bits(warm_analysis.droop_effective) ==
+                bits(cold_analysis.droop_effective) &&
+            warm_analysis.path == cold_analysis.path &&
+            warm_analysis.critical_core == cold_analysis.critical_core);
+    time_reps(baseline, "chip_analyze_8core_cold", 10, [&] {
+        const chip_model fresh(make_ttt_chip(), make_xgene2_pdn());
+        benchmark::DoNotOptimize(fresh.analyze(octet, 7));
+    });
+    time_reps(baseline, "chip_analyze_8core_warm", 10, [&] {
+        benchmark::DoNotOptimize(warm.analyze(octet, 7));
+    });
 
     // DRAM scan, hoisted temperature factor vs per-cell recomputation.
     memory_system memory(xgene2_memory_geometry(), retention_model{}, 2018,

@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 #include <numbers>
+#include <shared_mutex>
+#include <unordered_map>
 #include <utility>
 
 #include "util/contracts.hpp"
+#include "util/wire.hpp"
 
 namespace gb {
 
@@ -79,10 +83,51 @@ pdn_parameters make_xgene2_global_pdn() {
     return pdn_parameters::for_resonance(50.0e6, 0.08, 1.67e-6);
 }
 
+/// Core-local worst droops keyed by trace content (core_requirements).
+struct chip_model::droop_memo {
+    struct key {
+        std::size_t length = 0;
+        wire::digest128 digest;
+
+        bool operator==(const key&) const = default;
+    };
+    struct key_hash {
+        std::size_t operator()(const key& k) const {
+            return static_cast<std::size_t>(k.digest.lo);
+        }
+    };
+
+    std::shared_mutex mutex;
+    std::unordered_map<key, millivolts, key_hash> droops;
+};
+
 chip_model::chip_model(chip_config config, pdn_parameters local_pdn,
                        pdn_parameters global_pdn)
     : config_(std::move(config)), local_pdn_(local_pdn),
-      global_pdn_(global_pdn) {}
+      global_pdn_(global_pdn),
+      local_droops_(std::make_shared<droop_memo>()) {}
+
+millivolts chip_model::local_droop(std::span<const double> trace) const {
+    const droop_memo::key key{trace.size(), wire::digest_doubles(trace)};
+    {
+        const std::shared_lock lock(local_droops_->mutex);
+        const auto hit = local_droops_->droops.find(key);
+        if (hit != local_droops_->droops.end()) {
+            return hit->second;
+        }
+    }
+    const millivolts droop =
+        pdn_model(local_pdn_, nominal_pmd_voltage, nominal_core_frequency)
+            .worst_droop(trace);
+    const std::unique_lock lock(local_droops_->mutex);
+    local_droops_->droops.try_emplace(key, droop);
+    return droop;
+}
+
+std::size_t chip_model::memoized_droops() const {
+    const std::shared_lock lock(local_droops_->mutex);
+    return local_droops_->droops.size();
+}
 
 std::vector<double> chip_model::combined_trace(
     std::span<const core_assignment> assignments,
@@ -163,29 +208,11 @@ std::vector<vmin_analysis> chip_model::core_requirements(
     std::span<const core_assignment> assignments,
     std::uint64_t phase_seed) const {
     // Global contribution: the aggregate current through the shared loop.
+    // Not memoized -- the phase-seeded sum is new at every seed.
     const std::vector<double> trace = combined_trace(assignments, phase_seed);
     const pdn_model global(global_pdn_, nominal_pmd_voltage,
                            nominal_core_frequency);
     const millivolts global_droop = global.worst_droop(trace);
-    const pdn_model local(local_pdn_, nominal_pmd_voltage,
-                          nominal_core_frequency);
-
-    // Memoize the local droop per distinct profile: a homogeneous 8-core
-    // assignment (the common campaign shape) convolves each trace once
-    // instead of once per core.  Same input, same pure function -- the
-    // memoized value is the one the per-core call would produce.
-    std::vector<std::pair<const execution_profile*, millivolts>> local_droops;
-    local_droops.reserve(assignments.size());
-    const auto local_droop_of = [&](const execution_profile* profile) {
-        for (const auto& [known, droop] : local_droops) {
-            if (known == profile) {
-                return droop;
-            }
-        }
-        const millivolts droop = local.worst_droop(profile->current_trace);
-        local_droops.emplace_back(profile, droop);
-        return droop;
-    };
 
     std::vector<vmin_analysis> requirements;
     requirements.reserve(assignments.size());
@@ -193,7 +220,7 @@ std::vector<vmin_analysis> chip_model::core_requirements(
         GB_EXPECTS(a.frequency <= nominal_core_frequency);
         // Local contribution: this core's own current through its loop.
         const millivolts droop =
-            local_droop_of(a.profile) + global_droop;
+            local_droop(a.profile->current_trace) + global_droop;
         const millivolts droop_eff = config_.response.effective(droop);
         const double freq_relief_mv =
             config_.vf_slope_mv_per_mhz *

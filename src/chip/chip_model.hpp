@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -118,9 +119,11 @@ public:
     chip_model(chip_config config, pdn_parameters local_pdn,
                pdn_parameters global_pdn = make_xgene2_global_pdn());
 
-    /// Vmin of a multi-core run.  `phase_seed` determines the relative cycle
-    /// alignment of the cores' loops (threads are never cycle-aligned on the
-    /// real machine; alignment changes how per-core currents add up).
+    /// Vmin of a multi-core run: the worst of core_requirements(), so it
+    /// shares that function's droop memo.  `phase_seed` determines the
+    /// relative cycle alignment of the cores' loops (threads are never
+    /// cycle-aligned on the real machine; alignment changes how per-core
+    /// currents add up).
     [[nodiscard]] vmin_analysis analyze(
         std::span<const core_assignment> assignments,
         std::uint64_t phase_seed) const;
@@ -128,6 +131,21 @@ public:
     /// Per-core supply requirements of a multi-core run (same droop, each
     /// core's own offsets/paths).  Used to rank PMDs by weakness for the
     /// frequency-scaling trade-off of Fig 5.
+    ///
+    /// Each core's local droop comes from the chip's droop memo, keyed by
+    /// the content of the profile's current trace: its length plus a
+    /// 128-bit digest of the doubles' bit patterns (wire::digest_doubles).
+    /// The local PDN is fixed per chip, so it is not part of the key; two
+    /// profile objects with identical traces share one entry, and a
+    /// rebuilt profile with a new trace gets its own.  A miss convolves
+    /// outside the lock and inserts the value; workers racing on one miss
+    /// compute the same pure value.  An entry holds the key and one double,
+    /// never a copy of the trace.  The chip-global droop is not cached: its
+    /// trace is the phase-seeded sum of all cores, new at every seed.  A
+    /// hit returns the exact double pdn_model::worst_droop would, so
+    /// results are bitwise those of a memo-free recomputation (held by
+    /// kernel_equivalence_test).  Thread-safe; copies of a chip share the
+    /// memo.
     [[nodiscard]] std::vector<vmin_analysis> core_requirements(
         std::span<const core_assignment> assignments,
         std::uint64_t phase_seed) const;
@@ -199,6 +217,10 @@ public:
         std::span<const core_assignment> assignments, millivolts supply,
         std::uint64_t phase_seed) const;
 
+    /// Entries in the core-local droop memo: one per distinct trace
+    /// content this chip (or a copy) has analyzed.
+    [[nodiscard]] std::size_t memoized_droops() const;
+
     [[nodiscard]] const chip_config& config() const { return config_; }
     [[nodiscard]] const pdn_parameters& pdn() const { return local_pdn_; }
     [[nodiscard]] const pdn_parameters& global_pdn() const {
@@ -211,9 +233,15 @@ public:
     static constexpr double run_noise_sigma_mv = 2.5;
 
 private:
+    struct droop_memo;
+
+    /// Core-local worst droop of one trace, through the memo.
+    [[nodiscard]] millivolts local_droop(std::span<const double> trace) const;
+
     chip_config config_;
     pdn_parameters local_pdn_;
     pdn_parameters global_pdn_;
+    std::shared_ptr<droop_memo> local_droops_;
 };
 
 } // namespace gb

@@ -1,6 +1,7 @@
 #include "util/wire.hpp"
 
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 
@@ -45,6 +46,53 @@ std::string json_escape(std::string_view text) {
         }
     }
     return out;
+}
+
+namespace {
+
+constexpr std::uint64_t xxh_prime1 = 0x9e3779b185ebca87ULL;
+constexpr std::uint64_t xxh_prime2 = 0xc2b2ae3d27d4eb4fULL;
+
+constexpr std::uint64_t lane_round(std::uint64_t lane, double word) {
+    return std::rotl(lane + std::bit_cast<std::uint64_t>(word) * xxh_prime2,
+                     31) *
+           xxh_prime1;
+}
+
+/// MurmurHash3's fmix64 finalizer: a bijection with full avalanche.
+constexpr std::uint64_t avalanche(std::uint64_t h) {
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ULL;
+    h ^= h >> 33;
+    return h;
+}
+
+} // namespace
+
+digest128 digest_doubles(std::span<const double> words) {
+    // xxHash64's lane seeds for seed 0.
+    std::array<std::uint64_t, 4> lane{xxh_prime1 + xxh_prime2, xxh_prime2,
+                                      0, 0 - xxh_prime1};
+    const std::size_t n = words.size();
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        lane[0] = lane_round(lane[0], words[i]);
+        lane[1] = lane_round(lane[1], words[i + 1]);
+        lane[2] = lane_round(lane[2], words[i + 2]);
+        lane[3] = lane_round(lane[3], words[i + 3]);
+    }
+    for (; i < n; ++i) {
+        lane[i % 4] = lane_round(lane[i % 4], words[i]);
+    }
+    const std::uint64_t length = n;
+    return {avalanche(lane[0] + std::rotl(lane[1], 21) +
+                      std::rotl(lane[2], 42) + lane[3] * xxh_prime1 +
+                      length),
+            avalanche(lane[1] + std::rotl(lane[2], 21) +
+                      std::rotl(lane[3], 42) + lane[0] * xxh_prime2 +
+                      length * xxh_prime1)};
 }
 
 bool parse_real(std::string_view text, double& out) {

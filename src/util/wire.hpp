@@ -10,12 +10,15 @@
 //   * Integers parse with one full-consume, overflow-checked parser that
 //     takes no '+' prefix.
 //   * Content hashes are FNV-1a 64 (byte fold and little-endian word fold).
+//     In-process memo keys over large numeric buffers use the 128-bit word
+//     digest, which never reaches an artifact.
 //   * Wire lines are space-separated `key=value` fields.
 #pragma once
 
 #include <charconv>
 #include <concepts>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -63,6 +66,25 @@ inline constexpr std::uint64_t fnv1a_prime = 1099511628211ULL;
     }
     return hash;
 }
+
+// --- 128-bit word digest ---------------------------------------------------
+
+struct digest128 {
+    std::uint64_t lo = 0;
+    std::uint64_t hi = 0;
+
+    friend bool operator==(const digest128&, const digest128&) = default;
+};
+
+/// Digest of the doubles' bit patterns, so 0.0 and -0.0 differ.  Word i
+/// feeds lane i % 4 through xxHash64's multiply-rotate round; the four
+/// lanes are independent, so their multiply chains overlap and a 64 KB
+/// trace digests in a few microseconds (fnv1a_word folds byte by byte, 8
+/// dependent multiplies a word).  Each lane enters both halves through a
+/// bijection, so a difference confined to one lane's state shows in both.
+/// The length is folded in.  Not cryptographic: it keys in-process memos
+/// and never reaches a persisted artifact.
+[[nodiscard]] digest128 digest_doubles(std::span<const double> words);
 
 // --- checked number parsing -------------------------------------------------
 

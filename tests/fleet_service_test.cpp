@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "fleet/fleet.hpp"
+#include "fleet/probe.hpp"
 #include "harness/journal.hpp"
 #include "harness/report/artifacts.hpp"
 #include "harness/timeseries/alerts.hpp"
@@ -564,6 +565,48 @@ TEST(FleetObservatoryTest, SnapshotEscapesAlertLabels) {
     const auto status = report::load_status(service.state_snapshot(), error);
     ASSERT_TRUE(status.has_value()) << error;
     EXPECT_EQ(status->timeline_firing, firing);
+}
+
+// --- X-Gene2 probe droop memo -------------------------------------------
+
+observatory_run xgene2_lifetime(const probe_fn& probe,
+                                const std::vector<std::int64_t>& sweeps,
+                                const std::string& journal_path) {
+    std::filesystem::remove(journal_path);
+    timeline_recorder recorder;
+    fleet_service_config config;
+    config.journal_path = journal_path;
+    config.timeline = &recorder;
+    fleet_spec spec;
+    spec.nodes = 1000;
+    fleet_service service(spec, config, probe);
+    for (const std::int64_t sweep : sweeps) {
+        service.run_campaign(sweep);
+    }
+    return {service.state_snapshot(), slurp(journal_path),
+            service.timeline_snapshot(), {}};
+}
+
+TEST(FleetServiceTest, WarmDroopMemoPublishesTheSameBytes) {
+    // The chips behind a probe_fn memoize core-local droops across probes
+    // and service lifetimes.  A lifetime on a probe warmed by an earlier
+    // one must publish exactly what a lifetime on a fresh probe does.
+    fleet_spec spec;
+    spec.nodes = 1000;
+    const probe_fn warmed = make_xgene2_probe(spec);
+    (void)xgene2_lifetime(warmed, {-5, 0},
+                          temp_path("fleet_memo_warmup.journal"));
+
+    const observatory_run warm =
+        xgene2_lifetime(warmed, {0}, temp_path("fleet_memo_warm.journal"));
+    const observatory_run fresh =
+        xgene2_lifetime(make_xgene2_probe(spec), {0},
+                        temp_path("fleet_memo_fresh.journal"));
+    ASSERT_FALSE(fresh.journal.empty());
+    ASSERT_FALSE(fresh.timeline.empty());
+    EXPECT_EQ(warm.snapshot, fresh.snapshot);
+    EXPECT_EQ(warm.timeline, fresh.timeline);
+    EXPECT_EQ(warm.journal, fresh.journal);
 }
 
 // --- explicit-node fleets -----------------------------------------------

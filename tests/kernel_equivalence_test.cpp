@@ -15,6 +15,7 @@
 #include <charconv>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "chip/chip_model.hpp"
@@ -296,6 +297,207 @@ TEST_F(chip_equivalence_test, find_vmin_identical_across_worker_counts) {
     }
     EXPECT_TRUE(bit_equal(results[0].value, results[1].value));
     EXPECT_TRUE(bit_equal(results[0].value, results[2].value));
+}
+
+// ---------------------------------------------------------------------------
+// Chip droop memo: a warm chip vs a memo-free recomputation.
+
+/// Per-core droop of core_requirements recomputed without the chip's memo:
+/// pdn_model::worst_droop of each profile's trace plus the global droop.
+std::vector<double> memo_free_droops(
+    const chip_model& chip, std::span<const core_assignment> assignments,
+    std::uint64_t phase_seed) {
+    const pdn_model local(chip.pdn(), nominal_pmd_voltage,
+                          nominal_core_frequency);
+    const pdn_model global(chip.global_pdn(), nominal_pmd_voltage,
+                           nominal_core_frequency);
+    const millivolts global_droop =
+        global.worst_droop(chip.combined_trace(assignments, phase_seed));
+    std::vector<double> droops;
+    for (const core_assignment& a : assignments) {
+        droops.push_back(
+            (local.worst_droop(a.profile->current_trace) + global_droop)
+                .value);
+    }
+    return droops;
+}
+
+::testing::AssertionResult matches_memo_free(
+    const chip_model& chip, std::span<const core_assignment> assignments,
+    std::uint64_t phase_seed) {
+    const std::vector<double> expected =
+        memo_free_droops(chip, assignments, phase_seed);
+    const std::vector<vmin_analysis> requirements =
+        chip.core_requirements(assignments, phase_seed);
+    const vmin_analysis worst = chip.analyze(assignments, phase_seed);
+    for (std::size_t c = 0; c < assignments.size(); ++c) {
+        const vmin_analysis& req = requirements[c];
+        if (auto same = bit_equal(req.droop.value, expected[c]); !same) {
+            return same << " (droop of core " << c << ")";
+        }
+        const millivolts effective =
+            chip.config().response.effective(millivolts{expected[c]});
+        if (auto same = bit_equal(req.droop_effective.value, effective.value);
+            !same) {
+            return same << " (effective droop of core " << c << ")";
+        }
+        if (req.critical_core == worst.critical_core) {
+            if (auto same = bit_equal(worst.vmin.value, req.vmin.value);
+                !same) {
+                return same << " (analyze vmin)";
+            }
+            if (auto same = bit_equal(worst.droop.value, expected[c]);
+                !same) {
+                return same << " (analyze droop)";
+            }
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+std::vector<execution_profile> random_profiles(rng& r, std::size_t count) {
+    std::vector<execution_profile> profiles;
+    for (std::size_t i = 0; i < count; ++i) {
+        const pipeline_model pipeline(megahertz{r.uniform(900.0, 2400.0)});
+        profiles.push_back(
+            pipeline.execute(random_kernel(r, 1 + r.uniform_index(24)),
+                             4096 + r.uniform_index(8192)));
+        // Half the traces share one length, so only content tells them
+        // apart in the memo.
+        if (i % 2 == 0) {
+            profiles.back().current_trace.resize(8192, 0.5);
+        }
+    }
+    return profiles;
+}
+
+std::vector<core_assignment> random_assignment(
+    rng& r, const std::vector<execution_profile>& profiles) {
+    std::vector<core_assignment> assignments;
+    const std::size_t width = 1 + r.uniform_index(cores_per_chip);
+    for (std::size_t c = 0; c < width; ++c) {
+        assignments.push_back(
+            {static_cast<int>(c),
+             &profiles[r.uniform_index(profiles.size())],
+             megahertz{r.uniform(900.0, 2400.0)}});
+    }
+    return assignments;
+}
+
+TEST(droop_memo_equivalence, randomized_miss_and_hit_bitwise) {
+    rng r(0x5eedULL);
+    const std::vector<execution_profile> profiles = random_profiles(r, 6);
+    for (int round = 0; round < 6; ++round) {
+        const chip_model chip(
+            random_chip(process_corner::ttt, r),
+            pdn_parameters::for_resonance(r.uniform(20.0e6, 80.0e6),
+                                          r.uniform(0.05, 0.30),
+                                          r.uniform(0.2e-6, 2.0e-6)),
+            pdn_parameters::for_resonance(r.uniform(20.0e6, 80.0e6),
+                                          r.uniform(0.05, 0.30),
+                                          r.uniform(0.5e-6, 4.0e-6)));
+        for (int call = 0; call < 4; ++call) {
+            const std::vector<core_assignment> assignments =
+                random_assignment(r, profiles);
+            const std::uint64_t phase_seed = r();
+            // The first pass may miss, the second must hit; both are exact.
+            EXPECT_TRUE(matches_memo_free(chip, assignments, phase_seed))
+                << "round " << round << " call " << call << " (cold)";
+            EXPECT_TRUE(matches_memo_free(chip, assignments, phase_seed))
+                << "round " << round << " call " << call << " (warm)";
+        }
+        EXPECT_LE(chip.memoized_droops(), profiles.size());
+    }
+}
+
+TEST_F(chip_equivalence_test, identical_traces_share_one_memo_entry) {
+    const execution_profile first =
+        pipeline_.execute(make_square_wave_kernel(24, 24), 8192);
+    const execution_profile twin = first; // distinct object, same trace
+    const std::vector<core_assignment> a{{0, &first, nominal_core_frequency},
+                                         {1, &first, nominal_core_frequency}};
+    const std::vector<core_assignment> b{{0, &twin, nominal_core_frequency},
+                                         {5, &twin, nominal_core_frequency}};
+    EXPECT_TRUE(matches_memo_free(chip_, a, 3));
+    EXPECT_EQ(chip_.memoized_droops(), 1u);
+    EXPECT_TRUE(matches_memo_free(chip_, b, 4));
+    EXPECT_EQ(chip_.memoized_droops(), 1u);
+
+    // Copies of a chip share the memo.
+    const chip_model copy = chip_;
+    EXPECT_TRUE(matches_memo_free(copy, b, 5));
+    EXPECT_EQ(copy.memoized_droops(), 1u);
+}
+
+TEST_F(chip_equivalence_test, rebuilt_profile_gets_its_own_droop) {
+    // The same object (same address) rebuilt with another trace: a memo
+    // keyed by pointer would serve the stale droop.
+    execution_profile profile =
+        pipeline_.execute(make_square_wave_kernel(24, 24), 8192);
+    const std::vector<core_assignment> assignments{
+        {2, &profile, nominal_core_frequency}};
+    EXPECT_TRUE(matches_memo_free(chip_, assignments, 9));
+    const double before = chip_.analyze(assignments, 9).droop.value;
+    profile = pipeline_.execute(make_square_wave_kernel(8, 40), 8192);
+    EXPECT_TRUE(matches_memo_free(chip_, assignments, 9));
+    EXPECT_NE(std::bit_cast<std::uint64_t>(
+                  chip_.analyze(assignments, 9).droop.value),
+              std::bit_cast<std::uint64_t>(before));
+    EXPECT_EQ(chip_.memoized_droops(), 2u);
+}
+
+TEST_F(chip_equivalence_test, concurrent_analyze_is_bitwise_stable) {
+    rng r(0xc0ffeeULL);
+    const std::vector<execution_profile> profiles = random_profiles(r, 5);
+    std::vector<std::vector<core_assignment>> work;
+    std::vector<std::uint64_t> seeds;
+    for (int i = 0; i < 24; ++i) {
+        work.push_back(random_assignment(r, profiles));
+        seeds.push_back(r());
+    }
+    // Expected bits from a memo-free recomputation, before any thread runs.
+    std::vector<std::vector<double>> expected;
+    for (std::size_t i = 0; i < work.size(); ++i) {
+        expected.push_back(memo_free_droops(chip_, work[i], seeds[i]));
+    }
+
+    constexpr int threads = 8;
+    std::vector<std::vector<std::vector<double>>> seen(threads);
+    std::vector<std::thread> pool;
+    for (int t = 0; t < threads; ++t) {
+        pool.emplace_back([&, t] {
+            // Each thread starts at its own offset, so first touches race.
+            for (std::size_t k = 0; k < work.size(); ++k) {
+                const std::size_t i =
+                    (k + static_cast<std::size_t>(t) * 3) % work.size();
+                std::vector<double> droops;
+                for (const vmin_analysis& req :
+                     chip_.core_requirements(work[i], seeds[i])) {
+                    droops.push_back(req.droop.value);
+                }
+                droops.push_back(chip_.analyze(work[i], seeds[i]).vmin.value);
+                seen[t].push_back(std::move(droops));
+            }
+        });
+    }
+    for (std::thread& thread : pool) {
+        thread.join();
+    }
+    for (int t = 0; t < threads; ++t) {
+        for (std::size_t k = 0; k < work.size(); ++k) {
+            const std::size_t i =
+                (k + static_cast<std::size_t>(t) * 3) % work.size();
+            std::vector<double> droops = seen[t][k];
+            const double vmin = droops.back();
+            droops.pop_back();
+            EXPECT_TRUE(traces_bit_equal(droops, expected[i]))
+                << "thread " << t << " assignment " << i;
+            EXPECT_TRUE(bit_equal(vmin, chip_.analyze(work[i], seeds[i])
+                                            .vmin.value))
+                << "thread " << t << " assignment " << i;
+        }
+    }
+    EXPECT_LE(chip_.memoized_droops(), profiles.size());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 // Wire-primitive tests: the one double formatter, FNV-1a, checked number
 // parsers, key=value tokenizer and atomic publisher every persisted
-// artifact goes through.  The hash pins are the values the pre-unification
-// per-module copies produced on the same inputs, so a drift here would
-// silently re-key every cache, chain and content hash.
+// artifact goes through, plus the in-process word digest.  The hash pins
+// are the values the pre-unification per-module copies produced on the
+// same inputs, so a drift here would silently re-key every cache, chain
+// and content hash.
 #include "util/wire.hpp"
 
 #include <cmath>
@@ -95,6 +96,40 @@ TEST(WireTest, HashesKeepTheirPinnedValues) {
     EXPECT_EQ(chain_next(chain_basis, ""), 0xf4ed18ebf16aa5ccULL);
     EXPECT_EQ(chain_next(0x0123456789abcdefULL, "probe corner=TTT"),
               0xcb16e18adca13a9bULL);
+}
+
+// --- word digest --------------------------------------------------------
+
+TEST(WireTest, DigestSeesEveryWordBitAndTheLength) {
+    rng r(0xd1ce57ULL);
+    std::vector<double> words(1031); // not a multiple of the 4 lanes
+    for (double& w : words) {
+        w = r.uniform(0.0, 4.0);
+    }
+    const wire::digest128 base = wire::digest_doubles(words);
+    EXPECT_EQ(wire::digest_doubles(words), base);
+    // Every word position (all four lanes and the tail) reaches both
+    // halves: one flipped low mantissa bit changes lo and hi.
+    for (const std::size_t at : {0UL, 1UL, 2UL, 3UL, 512UL, 1028UL, 1030UL}) {
+        std::vector<double> flipped = words;
+        flipped[at] = std::nextafter(flipped[at], 10.0);
+        const wire::digest128 d = wire::digest_doubles(flipped);
+        EXPECT_NE(d.lo, base.lo) << "word " << at;
+        EXPECT_NE(d.hi, base.hi) << "word " << at;
+    }
+    // Bit patterns, not values: -0.0 == 0.0 yet digests differ.
+    const std::vector<double> zero{0.0};
+    const std::vector<double> negative_zero{-0.0};
+    EXPECT_NE(wire::digest_doubles(zero), wire::digest_doubles(negative_zero));
+    // A trailing zero word changes the length and so the digest.
+    std::vector<double> longer = words;
+    longer.push_back(0.0);
+    EXPECT_NE(wire::digest_doubles(longer), base);
+    // Swapping two words across lanes changes it too.
+    std::vector<double> swapped = words;
+    std::swap(swapped[4], swapped[5]);
+    EXPECT_NE(wire::digest_doubles(swapped), base);
+    EXPECT_NE(wire::digest_doubles({}), wire::digest_doubles(zero));
 }
 
 // --- checked number parsing ---------------------------------------------
